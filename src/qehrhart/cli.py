@@ -64,7 +64,7 @@ def _bounds_from_args(args):
 def cmd_compute(args, interior_only=False):
     P = _load_polytope(args.polytope)
     cache = jsonio.RecordCache(args.cache)
-    key = cache.key(P, args.max_t)
+    key = cache.key(P, args.max_t, {"command": "compute"})
     rec = cache.load(key)
     if rec is None or rec.vertices != P.vertices:
         try:
@@ -73,6 +73,7 @@ def cmd_compute(args, interior_only=False):
             print(f"internal inconsistency: {exc}", file=sys.stderr)
             return 3
         cache.store(key, rec)
+    rec.name = P.name or "polytope"  # the input names it, not the cache
     obj = jsonio.record_out(rec)
     if interior_only:
         obj = {"polytope": obj["polytope"], "T": obj["T"],
@@ -90,7 +91,8 @@ def cmd_guess(args):
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     cache = jsonio.RecordCache(args.cache)
-    cache.store(cache.key(P, args.max_t, bounds or {}), rec)
+    cache.store(cache.key(P, args.max_t, {"command": "guess",
+                                          "bounds": bounds or {}}), rec)
     _emit(jsonio.record_out(rec), args.out)
     return 0
 

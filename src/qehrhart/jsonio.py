@@ -132,13 +132,18 @@ class RecordCache:
     """Content-addressed record cache with atomic writes."""
 
     ENV_VAR = "QEHRHART_CACHE"
+    # bump when a record's content or layout changes, so old entries miss
+    SCHEMA_VERSION = 1
 
     def __init__(self, directory=None):
         self.directory = directory or os.environ.get(self.ENV_VAR)
 
     def key(self, P: LatticePolytope, T, config=None):
+        """Key on the vertices, T, the schema version and ``config``, which
+        holds the rest of what determines the record (command, bounds)."""
         payload = dumps({"vertices": [list(v) for v in P.vertices],
-                         "T": T, "config": config or {}})
+                         "T": T, "config": config or {},
+                         "schema": self.SCHEMA_VERSION})
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def path(self, key):

@@ -1,8 +1,9 @@
 """Polynomials in q, truncated series in t over Z[q], and bivariate
 rational functions with denominators of the form prod (1 - q^a t^b).
 
-Everything is exact; coefficients are Fractions (integer-valued in all the
-enumerative uses, but kept rational so intermediate algebra never rounds).
+Everything is exact.  Coefficients are Python ints, as every count is; a
+coefficient is a ``Fraction`` only where its value is not an integer, such as
+the multiplicities of a character decomposition before they are checked.
 """
 
 from __future__ import annotations
@@ -20,13 +21,20 @@ def _trim(coeffs):
     return coeffs
 
 
+def _exact(c):
+    """``c`` as a Fraction, or as an int when its value is an integer."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class QPoly:
-    """Polynomial in q with exact rational coefficients."""
+    """Polynomial in q with exact coefficients (ints unless not integral)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        self.coeffs = _trim([c if type(c) is int else _exact(c)
+                             for c in coeffs])
 
     @staticmethod
     def zero():
@@ -53,7 +61,7 @@ class QPoly:
         return not self.coeffs
 
     def __getitem__(self, d):
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
+        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -79,7 +87,7 @@ class QPoly:
             return QPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -93,10 +101,10 @@ class QPoly:
         """Multiply by q^d."""
         if self.is_zero():
             return self
-        return QPoly([Fraction(0)] * d + self.coeffs)
+        return QPoly([0] * d + self.coeffs)
 
     def __call__(self, q):
-        v = Fraction(0)
+        v = 0
         for c in reversed(self.coeffs):
             v = v * q + c
         return v
@@ -382,17 +390,22 @@ def _multiset_key(factors):
     return (len(factors), sum(a + b for (b, a) in factors), tuple(sorted(factors)))
 
 
-def _iter_multisets(types, nu):
-    """All multisets of exactly nu factor types (sorted tuples)."""
-    def rec(start, left, acc):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for i in range(start, len(types)):
-            acc.append(types[i])
-            yield from rec(i, left - 1, acc)
-            acc.pop()
-    yield from rec(0, nu, [])
+def _mul_factor_rows(rows, b, a):
+    """Coefficient rows (one list per t-power) times (1 - q^a t^b).
+
+    Same truncation order; the input rows are shared, never mutated.
+    """
+    out = rows[:b]
+    for m in range(b, len(rows)):
+        low = rows[m - b]
+        if not low:
+            out.append(rows[m])
+            continue
+        row = rows[m] + [0] * (len(low) + a - len(rows[m]))
+        for d, c in enumerate(low, a):
+            row[d] -= c
+        out.append(_trim(row))
+    return out
 
 
 def denominator_search(S: TQSeries, b_max, a_max, nu_max, t_deg_max=None,
@@ -404,22 +417,56 @@ def denominator_search(S: TQSeries, b_max, a_max, nu_max, t_deg_max=None,
     min(sum(b_i) + 4, S.T - sum(b_i) - 2); multisets whose margin cannot be
     met are skipped.  With ``first_only`` the search stops at the first
     success in canonical order (cheap minimal-form guessing).
+
+    Multisets are enumerated depth-first as sorted tuples, one factor
+    multiply per tree edge, so each prefix product is shared by every
+    candidate extending it.  A candidate whose product terminates is
+    confirmed, and its numerator taken, by ``fit_numerator``.
     """
     types = _factor_types(b_max, a_max)
-    hits = []
-    for nu in range(1, nu_max + 1):
-        level = sorted(_iter_multisets(types, nu), key=_multiset_key)
-        for factors in level:
-            sum_b = sum(b for (b, _) in factors)
+    if not types or (t_deg_max is not None and t_deg_max < 0):
+        return []
+    # the margin S.T >= t_deg_max + sum(b_i) + 2 bounds sum(b_i); a derived
+    # t_deg_max meets it, and is not negative, exactly when sum(b_i) <= S.T - 2
+    b_room = S.T - 2 - (t_deg_max or 0)
+    degs = [a + b for (b, a) in types]
+    lo = [min(degs[i:]) for i in range(len(types))]
+    hi = [max(degs[i:]) for i in range(len(types))]
+
+    def extend(start, left, factors, rows, sum_b, deg, target):
+        """Hits among ``factors`` plus ``left`` more types from types[start:],
+        in sorted-tuple order; ``rows`` is S times ``factors``.  A ``target``
+        keeps only multisets of that total degree."""
+        if not left:
             tdm = t_deg_max
             if tdm is None:
                 tdm = min(sum_b + 4, S.T - sum_b - 2)
-            if tdm < 0 or S.T < tdm + sum_b + 2:
+            if not any(rows[tdm + 1:]):
+                num = fit_numerator(S, factors, tdm)
+                if num is not None:
+                    yield RatFun2(num, factors)
+            return
+        for i in range(start, len(types)):
+            b, a = types[i]
+            if sum_b + b * left > b_room:
+                break  # b never decreases along types
+            d = deg + a + b
+            if target is not None and not (d + (left - 1) * lo[i] <= target
+                                           <= d + (left - 1) * hi[i]):
                 continue
-            num = fit_numerator(S, factors, tdm)
-            if num is not None:
-                hits.append(RatFun2(num, factors))
-                if first_only:
-                    return hits
+            yield from extend(i, left - 1, factors + (types[i],),
+                              _mul_factor_rows(rows, b, a), sum_b + b, d,
+                              target)
+
+    rows = [list(c.coeffs) for c in S.coeffs]
+    hits = []
+    for nu in range(1, nu_max + 1):
+        if not first_only:
+            hits.extend(extend(0, nu, (), rows, 0, 0, None))
+            continue
+        # within one total degree, depth-first order is canonical order
+        for D in range(nu * min(degs), nu * max(degs) + 1):
+            for hit in extend(0, nu, (), rows, 0, 0, D):
+                return [hit]
     hits.sort(key=lambda R: _multiset_key(R.denom_factors))
     return hits

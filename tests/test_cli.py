@@ -90,6 +90,30 @@ class TestCommands:
                      "--cache", cachedir]) == 0
         assert capsys.readouterr().out == first
 
+    def test_compute_independent_of_cache_history(self, square_file, tmp_path,
+                                                  capsys):
+        main(["compute", square_file, "--max-t", "10"])
+        fresh = capsys.readouterr().out
+        cachedir = str(tmp_path / "cache")
+        # a guess stored first, with no bounds, must not leak into compute
+        assert main(["guess", square_file, "--max-t", "10",
+                     "--cache", cachedir]) == 0
+        assert "guess" in json.loads(capsys.readouterr().out)
+        assert main(["compute", square_file, "--max-t", "10",
+                     "--cache", cachedir]) == 0
+        assert capsys.readouterr().out == fresh
+        # a cache hit for the same vertices keeps the input file's name
+        renamed = tmp_path / "renamed.json"
+        with open(square_file) as fh:
+            obj = json.load(fh)
+        renamed.write_text(json.dumps(dict(obj, name="renamed-square")))
+        assert main(["compute", str(renamed), "--max-t", "10",
+                     "--cache", cachedir]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["polytope"]["name"] == "renamed-square"
+        assert out == dict(json.loads(fresh),
+                           polytope=dict(obj, name="renamed-square"))
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"vertices\": []}")

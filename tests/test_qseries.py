@@ -1,7 +1,12 @@
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import segment
+from qehrhart.ehrhart import series_E, series_Ebar
 from qehrhart.qseries import (BivarPoly, InsufficientTruncationError, QPoly,
                               RatFun2, TQSeries, denominator_search,
                               fit_numerator)
@@ -25,6 +30,13 @@ class TestQPoly:
         assert p * q == QPoly([0, 2, 3, 1])
         assert (p - p).is_zero()
         assert p.shift(2) == QPoly([0, 0, 1, 1])
+
+    def test_int_coefficients_stay_int(self):
+        p = QPoly([1, Fraction(4, 2), Fraction(1, 2)])
+        assert [type(c) for c in p.coeffs] == [int, int, Fraction]
+        assert type(p[7]) is int and type(QPoly([1, 2])(3)) is int
+        product = QPoly([1, 1]) * QPoly([2, 1])
+        assert all(type(c) is int for c in product.coeffs)
 
     def test_eval(self):
         assert QPoly([1, 2, 3])(1) == 6
@@ -83,6 +95,52 @@ class TestSearch:
         assert keys == sorted(keys)
 
 
+def reference_search(S, b_max, a_max, nu_max, t_deg_max=None,
+                     first_only=False):
+    """One ``fit_numerator`` per multiset in canonical order, as
+    (factors, numerator terms) pairs: the route the search must reproduce."""
+    types = [(b, a) for b in range(1, b_max + 1) for a in range(a_max + 1)]
+    hits = []
+    for nu in range(1, nu_max + 1):
+        level = sorted(combinations_with_replacement(types, nu),
+                       key=lambda f: (sum(a + b for (b, a) in f), f))
+        for factors in level:
+            sum_b = sum(b for (b, _) in factors)
+            tdm = t_deg_max
+            if tdm is None:
+                tdm = min(sum_b + 4, S.T - sum_b - 2)
+            if tdm < 0 or S.T < tdm + sum_b + 2:
+                continue
+            num = fit_numerator(S, factors, tdm)
+            if num is not None:
+                hits.append((factors, num.terms))
+                if first_only:
+                    return hits
+    return hits
+
+
+def search_pairs(S, bounds, t_deg_max, first_only):
+    hits = denominator_search(S, *bounds, t_deg_max=t_deg_max,
+                              first_only=first_only)
+    return [(R.denom_factors, R.numerator.terms) for R in hits]
+
+
+@pytest.mark.parametrize("interior", [False, True])
+@pytest.mark.parametrize("name,T,bounds", [
+    ("unit_triangle", 10, (2, 4, 3)), ("unit_square", 10, (2, 4, 3)),
+    ("case_triangle", 10, (2, 3, 3)), ("segment", 10, (2, 4, 3)),
+    ("reeve2", 6, (2, 3, 4))])
+def test_search_matches_candidate_route(request, name, T, bounds, interior):
+    P = segment(0, 2) if name == "segment" else request.getfixturevalue(name)
+    S = (series_Ebar if interior else series_E)(P, T)
+    for t_deg_max in (None, 2):
+        for first_only in (False, True):
+            assert search_pairs(S, bounds, t_deg_max, first_only) == \
+                reference_search(S, *bounds, t_deg_max, first_only)
+    if name != "reeve2":  # its forms need T beyond this size
+        assert reference_search(S, *bounds)
+
+
 class TestExpand:
     def test_two_factor(self):
         R = RatFun2(BivarPoly({(0, 0): 1}), [(1, 0), (1, 1)])
@@ -134,3 +192,19 @@ def test_series_ring_laws(coeff_lists):
     assert (S + S) - S == S
     assert S.mul_factor(1, 0) == S - TQSeries(
         [QPoly()] + [S.coeffs[m] for m in range(T)], T)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                       st.integers(-4, 4), max_size=4),
+       st.lists(factor, min_size=1, max_size=3),
+       st.sampled_from([1, Fraction(1, 2)]),
+       st.one_of(st.none(), st.integers(0, 3)), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_search_matches_candidate_route_random(num_terms, den, scale,
+                                               t_deg_max, first_only):
+    # a scale of 1/2 gives non-integral rows, whose fits must be refused
+    S = RatFun2(BivarPoly(num_terms), den).expand(9)
+    S = TQSeries([c * scale for c in S.coeffs], S.T)
+    bounds = (2, 3, 3)
+    assert search_pairs(S, bounds, t_deg_max, first_only) == \
+        reference_search(S, *bounds, t_deg_max, first_only)
