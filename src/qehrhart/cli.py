@@ -61,20 +61,25 @@ def _bounds_from_args(args):
     return b or None
 
 
-def cmd_compute(args, interior_only=False):
-    P = _load_polytope(args.polytope)
+def _cached_record(args, P, config, **kwargs):
+    """The record cached under (P, T, config), or a freshly computed one.
+
+    A fresh record is stored; either way the input file names it, not the
+    cache.
+    """
     cache = jsonio.RecordCache(args.cache)
-    key = cache.key(P, args.max_t, {"command": "compute"})
+    key = cache.key(P, args.max_t, config)
     rec = cache.load(key)
     if rec is None or rec.vertices != P.vertices:
-        try:
-            rec = compute_record(P, args.max_t)
-        except InconsistencyError as exc:
-            print(f"internal inconsistency: {exc}", file=sys.stderr)
-            return 3
+        rec = compute_record(P, args.max_t, **kwargs)
         cache.store(key, rec)
-    rec.name = P.name or "polytope"  # the input names it, not the cache
-    obj = jsonio.record_out(rec)
+    rec.name = P.name or "polytope"
+    return rec
+
+
+def cmd_compute(args, interior_only=False):
+    P = _load_polytope(args.polytope)
+    obj = jsonio.record_out(_cached_record(args, P, {"command": "compute"}))
     if interior_only:
         obj = {"polytope": obj["polytope"], "T": obj["T"],
                "iqInterior": obj["iqInterior"]}
@@ -85,14 +90,8 @@ def cmd_compute(args, interior_only=False):
 def cmd_guess(args):
     P = _load_polytope(args.polytope)
     bounds = _bounds_from_args(args)
-    try:
-        rec = compute_record(P, args.max_t, with_guess=True, bounds=bounds)
-    except InconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 3
-    cache = jsonio.RecordCache(args.cache)
-    cache.store(cache.key(P, args.max_t, {"command": "guess",
-                                          "bounds": bounds or {}}), rec)
+    rec = _cached_record(args, P, {"command": "guess", "bounds": bounds or {}},
+                         with_guess=True, bounds=bounds)
     _emit(jsonio.record_out(rec), args.out)
     return 0
 
@@ -228,8 +227,7 @@ def _verify_chainorder(args):
     return 1 if bad else 0
 
 
-def _verify_modp(args):
-    primes = [args.prime] if args.prime else [2, 3, 5]
+def _modp_closure(args, primes):
     bad = 0
     for p in primes:
         jobs = [(args.seed * 7919 + i, p) for i in range(args.trials)]
@@ -242,6 +240,10 @@ def _verify_modp(args):
         bad += fails
         print(f"modp closure p={p}: {len(results)} trials, {fails} failures")
     return 1 if bad else 0
+
+
+def _verify_modp(args):
+    return _modp_closure(args, [args.prime] if args.prime else [2, 3, 5])
 
 
 def _verify_equivariant(args):
@@ -334,13 +336,7 @@ def cmd_modp(args):
     if args.kind == "beta":
         print(beta_bound(args.r, args.rp, args.prime or 0))
         return 0
-    # closure trials
-    p = args.prime or 3
-    jobs = [(args.seed * 7919 + i, p) for i in range(args.trials)]
-    results = [_modp_trial(j) for j in jobs]
-    fails = results.count(False)
-    print(f"modp closure p={p}: {len(results)} trials, {fails} failures")
-    return 1 if fails else 0
+    return _modp_closure(args, [args.prime or 3])
 
 
 def main(argv=None):

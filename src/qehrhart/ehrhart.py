@@ -24,12 +24,7 @@ class NotASimplexError(ValueError):
     """Operation requires a simplex (dim + 1 vertices)."""
 
 
-_iq_cache = {}
-_iq_interior_cache = {}
-
-
-def _key(P: LatticePolytope, m):
-    return (P.vertices, m)
+_iq_memo = {}   # (vertices, m, interior) -> QPoly
 
 
 def _weight_poly(locus):
@@ -48,52 +43,43 @@ def _locus_in_hull_coords(P: LatticePolytope, locus, m):
     return [P.hull_coords(z, scale=m) for z in locus]
 
 
+def _count(P: LatticePolytope, m: int, interior: bool) -> QPoly:
+    key = (P.vertices, m, interior)
+    if key in _iq_memo:
+        return _iq_memo[key]
+    locus = P.interior_lattice_points(m) if interior else P.lattice_points(m)
+    if len(locus) == 0:
+        out = QPoly.zero()
+    elif P.is_antiblocking():
+        out = _weight_poly(locus)
+        if interior:
+            out = out.divide_by_q_power(P.dim)
+    elif P.dim == 0:
+        out = QPoly.one()
+    else:
+        pts = (_locus_in_hull_coords(P, locus, m)
+               if P.dim < P.ambient_dim else list(locus))
+        out = hilbert_qpoly(pts)
+    if out(1) != len(locus):
+        raise InconsistencyError("graded count does not sum to the point count")
+    _iq_memo[key] = out
+    return out
+
+
 def iq(P: LatticePolytope, m: int) -> QPoly:
     """Graded count of lattice points of the m-th dilate; at q=1 the cardinality."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return QPoly.one()
-    key = _key(P, m)
-    if key in _iq_cache:
-        return _iq_cache[key]
-    locus = P.lattice_points(m)
-    if P.is_antiblocking():
-        out = _weight_poly(locus)
-    elif P.dim == 0:
-        out = QPoly.one()
-    else:
-        pts = (_locus_in_hull_coords(P, locus, m)
-               if P.dim < P.ambient_dim else list(locus))
-        out = hilbert_qpoly(pts)
-    if out(1) != len(locus):
-        raise InconsistencyError("graded count does not sum to the point count")
-    _iq_cache[key] = out
-    return out
+    return _count(P, m, False)
 
 
 def iq_interior(P: LatticePolytope, m: int) -> QPoly:
     """Graded count for the relative interior of the m-th dilate."""
     if m < 1:
         raise ValueError("m must be positive")
-    key = _key(P, m)
-    if key in _iq_interior_cache:
-        return _iq_interior_cache[key]
-    locus = P.interior_lattice_points(m)
-    if len(locus) == 0:
-        out = QPoly.zero()
-    elif P.is_antiblocking():
-        out = _weight_poly(locus).divide_by_q_power(P.dim)
-    elif P.dim == 0:
-        out = QPoly.one()
-    else:
-        pts = (_locus_in_hull_coords(P, locus, m)
-               if P.dim < P.ambient_dim else list(locus))
-        out = hilbert_qpoly(pts)
-    if out(1) != len(locus):
-        raise InconsistencyError("graded count does not sum to the point count")
-    _iq_interior_cache[key] = out
-    return out
+    return _count(P, m, True)
 
 
 def series_E(P: LatticePolytope, T: int) -> TQSeries:

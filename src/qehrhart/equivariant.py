@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halgebra import component
-from .harmonics import InconsistencyError, MultiPoly, grlex_key, monomials_of_degree
-from .linalg import Mat, solve
+from .harmonics import InconsistencyError, MultiPoly, coord_row, degree_echelon
 from .polytope import LatticePolytope
 from .qseries import QPoly
 
@@ -87,33 +86,20 @@ def graded_character(P: LatticePolytope, g: GroupElement, m: int) -> QPoly:
     if not stabilizer_check(P, g):
         raise NotASymmetryError(f"{g.id} does not stabilize the polytope")
     comp = component(P, m)
-    n = comp.basis.n
     traces = []
     for d, basis in enumerate(comp.basis.by_degree):
-        if not basis:
-            traces.append(Fraction(0))
-            continue
-        mons = sorted(monomials_of_degree(n, d), key=grlex_key, reverse=True)
-        idx = {mo: i for i, mo in enumerate(mons)}
-        cols = []
-        for b in basis:
-            col = [Fraction(0)] * len(mons)
-            for mo, c in b.terms.items():
-                col[idx[mo]] = c
-            cols.append(col)
-        M = Mat([[cols[j][i] for j in range(len(cols))] for i in range(len(mons))])
+        # the basis is in reduced echelon form over grlex-descending monomials,
+        # so an element's coordinate is the image's coefficient at its
+        # leading monomial
+        ech = degree_echelon(basis, d)
         tr = Fraction(0)
-        for j, b in enumerate(basis):
+        for b in basis:
             img = _substitute(b, g.matrix)
-            vec = [Fraction(0)] * len(mons)
-            for mo, c in img.terms.items():
-                if mo not in idx:
-                    raise InconsistencyError("image leaves the degree piece")
-                vec[idx[mo]] = c
-            x = solve(M, vec)
-            if x is None:
+            if any(sum(mo) != d for mo in img.terms):
+                raise InconsistencyError("image leaves the degree piece")
+            if not ech.contains(coord_row(img, d)):
                 raise InconsistencyError("image leaves the dual space")
-            tr += x[j]
+            tr += img.terms.get(b.leading_monomial(), 0)
         traces.append(tr)
     return QPoly(traces)
 

@@ -11,12 +11,11 @@ reproduce the bigrading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ehrhart import iq
 from .harmonics import (HarmonicBasis, InconsistencyError, MultiPoly,
-                        grlex_key, harmonic_basis, monomials_of_degree)
-from .linalg import Echelon
+                        coord_row, degree_echelon, harmonic_basis,
+                        span_products)
 from .polytope import LatticePolytope
 from .posets import Poset, chain_polytope, order_polytope
 from .qseries import QPoly, TQSeries
@@ -53,50 +52,6 @@ def component(P: LatticePolytope, m: int) -> HComponent:
     return comp
 
 
-def _coord_row(poly: MultiPoly, mons, idx):
-    row = [Fraction(0)] * len(mons)
-    for mo, c in poly.terms.items():
-        row[idx[mo]] = c
-    return row
-
-
-class _Cell:
-    """Span of homogeneous polynomials of one (grade, degree) cell."""
-
-    def __init__(self, n, d):
-        self.n = n
-        self.d = d
-        self.mons = sorted(monomials_of_degree(n, d), key=grlex_key, reverse=True)
-        self.idx = {m: i for i, m in enumerate(self.mons)}
-        self.ech = Echelon()
-        self.polys = []
-
-    @property
-    def dim(self):
-        return self.ech.dim
-
-    def add(self, poly: MultiPoly):
-        if self.ech.add(_coord_row(poly, self.mons, self.idx)):
-            self.polys.append(poly)
-            return True
-        return False
-
-    def contains(self, poly: MultiPoly):
-        return self.ech.contains(_coord_row(poly, self.mons, self.idx))
-
-
-def _cells_of(basis_lists, n):
-    cells = {}
-    for d, polys in enumerate(basis_lists):
-        if not polys:
-            continue
-        cell = _Cell(n, d)
-        for g in polys:
-            cell.add(g)
-        cells[d] = cell
-    return cells
-
-
 def product_span(P: LatticePolytope, m: int, mp: int):
     """Span of products of two components inside the component of their sum.
 
@@ -106,23 +61,13 @@ def product_span(P: LatticePolytope, m: int, mp: int):
     A = component(P, m)
     B = component(P, mp)
     C = component(P, m + mp)
-    n = A.basis.n
-    target = _cells_of(C.basis.by_degree, n)
-    span = {}
-    for d1, bs1 in enumerate(A.basis.by_degree):
-        for d2, bs2 in enumerate(B.basis.by_degree):
-            d = d1 + d2
-            for f in bs1:
-                for g in bs2:
-                    prod = f * g
-                    if prod.is_zero():
-                        continue
-                    if d not in target or not target[d].contains(prod):
-                        raise InconsistencyError(
-                            f"product escapes the target component: {prod!r}")
-                    span.setdefault(d, _Cell(n, d)).add(prod)
-    span_dims = {d: c.dim for d, c in sorted(span.items())}
-    target_dims = {d: c.dim for d, c in sorted(target.items())}
+    span, escape = span_products(A.basis.by_degree, B.basis.by_degree,
+                                 target=C.basis.by_degree, span={})
+    if escape is not None:
+        raise InconsistencyError(
+            f"product escapes the target component: {escape!r}")
+    span_dims = {d: len(kept) for d, (_, kept) in sorted(span.items())}
+    target_dims = {d: len(b) for d, b in enumerate(C.basis.by_degree) if b}
     equals = span_dims == target_dims
     return span_dims, True, equals
 
@@ -157,32 +102,20 @@ def generation_check(P: LatticePolytope, m0: int, T=None) -> GenerationReport:
     if m0 > T:
         raise ValueError("cutoff beyond horizon")
     report = GenerationReport(cutoff=m0, horizon=T)
-    n = component(P, 0).basis.n
-    G = {0: _cells_of(component(P, 0).basis.by_degree, n)}
+    G = {0: component(P, 0).basis.by_degree}   # grade -> products kept, by degree
     for m in range(1, T + 1):
         if m <= m0:
-            G[m] = _cells_of(component(P, m).basis.by_degree, n)
+            G[m] = component(P, m).basis.by_degree
             report.per_degree_status[m] = True
             continue
-        cells = {}
-        for i in range(1, m):
-            j = m - i
-            if i > j:
-                break
-            for d1, c1 in G[i].items():
-                for d2, c2 in G[j].items():
-                    d = d1 + d2
-                    cell = cells.setdefault(d, _Cell(n, d))
-                    for f in c1.polys:
-                        for g in c2.polys:
-                            prod = f * g
-                            if not prod.is_zero():
-                                cell.add(prod)
-        G[m] = cells
+        span = {}
+        for i in range(1, m // 2 + 1):
+            span_products(G[i], G[m - i], span=span)
+        G[m] = {d: kept for d, (_, kept) in span.items()}
         ok = True
         for d, polys in enumerate(component(P, m).basis.by_degree):
             want = len(polys)
-            have = cells[d].dim if d in cells else 0
+            have = len(G[m].get(d, ()))
             if have > want:
                 raise InconsistencyError("span exceeds the component")
             if have < want:
@@ -204,32 +137,24 @@ def subalgebra_hilbert(P: LatticePolytope, gens, T: int) -> TQSeries:
         if not g.is_homogeneous():
             raise NotInComponentError("generators must be homogeneous")
         d = g.degree()
-        comp = component(P, m)
-        cells = _cells_of(comp.basis.by_degree, n)
+        basis = component(P, m).basis.by_degree
         if d > 0 or m > 0:
-            if d not in cells or not cells[d].contains(g):
+            if not (0 <= d < len(basis)) or not degree_echelon(
+                    basis[d], d).contains(coord_row(g, d)):
                 raise NotInComponentError(f"generator not in component {m}: {g!r}")
         checked.append((m, d, g))
     # close under products, grade by grade
-    G = {0: {0: _Cell(n, 0)}}
-    G[0][0].add(MultiPoly.constant(n, 1))
+    G = {0: {0: [MultiPoly.constant(n, 1)]}}   # grade -> products kept, by degree
     for m in range(1, T + 1):
-        cells = {}
+        span = {}
         for (k, dg, g) in checked:
             if k == 0 or k > m:
                 continue
-            lower = G.get(m - k, {})
-            for d2, c2 in lower.items():
-                d = dg + d2
-                cell = cells.setdefault(d, _Cell(n, d))
-                for f in c2.polys:
-                    prod = g * f
-                    if not prod.is_zero():
-                        cell.add(prod)
-        G[m] = cells
+            span_products({dg: [g]}, G.get(m - k, {}), span=span)
+        G[m] = {d: kept for d, (_, kept) in span.items()}
     coeffs = []
     for m in range(T + 1):
-        dims = {d: c.dim for d, c in G.get(m, {}).items()}
+        dims = {d: len(kept) for d, kept in G.get(m, {}).items()}
         top = max(dims, default=0)
         coeffs.append(QPoly([dims.get(d, 0) for d in range(top + 1)]))
     return TQSeries(coeffs, T)
@@ -272,16 +197,6 @@ def interior_ideal_check(P: LatticePolytope, m: int, mp: int) -> bool:
     Vbar = harmonic_basis(locus)
     target_locus = P.interior_lattice_points(m + mp)
     Vbar_target = harmonic_basis(target_locus)
-    n = A.basis.n
-    target = _cells_of(Vbar_target.by_degree, n)
-    for d1, bs1 in enumerate(A.basis.by_degree):
-        for d2, bs2 in enumerate(Vbar.by_degree):
-            d = d1 + d2
-            for f in bs1:
-                for g in bs2:
-                    prod = f * g
-                    if prod.is_zero():
-                        continue
-                    if d not in target or not target[d].contains(prod):
-                        return False
-    return True
+    _, escape = span_products(A.basis.by_degree, Vbar.by_degree,
+                              target=Vbar_target.by_degree)
+    return escape is None

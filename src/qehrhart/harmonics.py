@@ -15,8 +15,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
-from math import factorial, gcd
+from math import factorial
 
 from .linalg import Echelon, Mat, nullspace, rref
 from .polytope import PointLocus, minkowski_sum
@@ -61,6 +62,23 @@ def monomials_of_degree(n, d):
 
     rec((), d, n)
     return out
+
+
+@cache
+def _monomial_index(n, d):
+    """Position of each degree-d monomial in grlex-descending order (shared;
+    callers must not mutate it)."""
+    return {m: i for i, m in enumerate(monomials_of_degree(n, d))}
+
+
+def coord_row(f, d):
+    """Coordinates of a homogeneous degree-d polynomial over the degree-d
+    monomials in grlex-descending order."""
+    idx = _monomial_index(f.n, d)
+    row = [0] * len(idx)
+    for m, c in f.terms.items():
+        row[idx[m]] = c
+    return row
 
 
 class MultiPoly:
@@ -208,36 +226,20 @@ class GBasis:
         return counts
 
 
-def _strip_joint(vec, combo):
-    g = 0
-    for a in vec:
-        if a:
-            g = gcd(g, a)
-            if g == 1:
-                return vec, combo
-    for a in combo.values():
-        if a:
-            g = gcd(g, a)
-            if g == 1:
-                return vec, combo
-    if g > 1:
-        vec = [a // g for a in vec]
-        combo = {m: a // g for m, a in combo.items()}
-    return vec, combo
-
-
 def _center(points):
     n = len(points[0]) if points else 0
     return tuple((min(p[i] for p in points) + max(p[i] for p in points)) // 2
                  for i in range(n))
 
 
-def _run_bm(points, track_combos):
-    """Core elimination: returns (standard monomials, generators or None).
+def _run_bm(points, p=0, track=False):
+    """Core elimination over Q (``p = 0``) or F_p: (standard monomials, gens).
 
-    Rows are kept integral; a new evaluation row is combined with pivot rows
-    as d*r - c*p and stripped of content, so no rational arithmetic happens
-    until a generator is normalized at the end.
+    Monomial evaluation vectors are added to one ``Echelon`` in graded lex
+    order.  With ``track`` each row carries its combination of monomials, and
+    every dependent monomial yields a generator as (leading monomial,
+    integer combination); without it the loop stops at the N-th standard
+    monomial and ``gens`` is empty.
     """
     n = len(points[0]) if points else 0
     N = len(points)
@@ -245,7 +247,7 @@ def _run_bm(points, track_combos):
         raise ValueError("empty point set")
     heap = [(grlex_key((0,) * n), (0,) * n)]
     seen = {(0,) * n}
-    pivots = []    # (pivcol, int vector, combo dict or None)
+    ech = Echelon(p)
     std = []
     gens = []
     lead_terms = []
@@ -260,39 +262,14 @@ def _run_bm(points, track_combos):
                 if e:
                     val *= x ** e
             vec.append(val)
-        combo = {mono: 1} if track_combos else None
-        for (pc, pv, pcombo) in pivots:
-            c = vec[pc]
-            if c:
-                d = pv[pc]
-                vec = [d * a - c * b for a, b in zip(vec, pv)]
-                if track_combos:
-                    combo = {m: d * v for m, v in combo.items()}
-                    for m, v in pcombo.items():
-                        combo[m] = combo.get(m, 0) - c * v
-                if track_combos:
-                    vec, combo = _strip_joint(vec, combo)
-                else:
-                    g = 0
-                    for a in vec:
-                        if a:
-                            g = gcd(g, a)
-                            if g == 1:
-                                break
-                    if g > 1:
-                        vec = [a // g for a in vec]
-        pc = next((i for i, a in enumerate(vec) if a), None)
-        if pc is None:
+        vec, combo = ech.reduce(vec, {mono: 1} if track else None)
+        if not ech.push(vec, combo):
             lead_terms.append(mono)
-            if track_combos:
-                lead = Fraction(combo[mono])
-                poly = MultiPoly(n, {m: Fraction(c) / lead
-                                     for m, c in combo.items()})
-                gens.append(poly)
+            if track:
+                gens.append((mono, combo))
             continue
-        pivots.append((pc, vec, combo))
         std.append(mono)
-        if not track_combos and len(std) == N:
+        if not track and len(std) == N:
             break
         for i in range(n):
             suc = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
@@ -301,14 +278,16 @@ def _run_bm(points, track_combos):
                 heapq.heappush(heap, (grlex_key(suc), suc))
     if len(std) != N:
         raise InconsistencyError("standard monomial count differs from locus size")
-    return std, (gens if track_combos else None)
+    return std, gens
 
 
 def buchberger_moeller(Z) -> GBasis:
     """Reduced Gröbner basis of the vanishing ideal of a finite point set."""
     points = list(Z)
     n = len(points[0])
-    std, gens = _run_bm(points, track_combos=True)
+    std, gens = _run_bm(points, track=True)
+    gens = [MultiPoly(n, {m: Fraction(c, combo[lead]) for m, c in combo.items()})
+            for lead, combo in gens]
     gens.sort(key=lambda g: grlex_key(g.leading_monomial()))
     return GBasis(n, gens, std)
 
@@ -322,7 +301,7 @@ def standard_monomial_degrees(Z):
     points = list(Z)
     c = _center(points)
     shifted = [tuple(a - b for a, b in zip(p, c)) for p in points]
-    std, _ = _run_bm(shifted, track_combos=False)
+    std, _ = _run_bm(shifted)
     counts = {}
     for m in std:
         counts[sum(m)] = counts.get(sum(m), 0) + 1
@@ -351,22 +330,30 @@ def gr_ideal(Z) -> GBasis:
     return GBasis(gb.n, taus, gb.standard_monomials)
 
 
+def ideal_rows(gens, n, d):
+    """Coordinate rows of the degree-d piece of the ideal generated by
+    homogeneous polynomials, given as {monomial: coefficient} dicts: one row
+    e*g for each generator g and each monomial e of degree d - deg g."""
+    idx = _monomial_index(n, d)
+    rows = []
+    for g in gens:
+        dg = sum(next(iter(g)))
+        if dg > d:
+            continue
+        for e in monomials_of_degree(n, d - dg):
+            row = [0] * len(idx)
+            for m, c in g.items():
+                row[idx[mono_mul(m, e)]] = c
+            rows.append(row)
+    return rows
+
+
 def gr_component(Z, d, _gb=None):
     """Basis of the degree-d piece of the associated graded ideal."""
     gb = _gb if _gb is not None else gr_ideal(Z)
     n = gb.n
-    mons = sorted(monomials_of_degree(n, d), key=grlex_key, reverse=True)
-    idx = {m: i for i, m in enumerate(mons)}
-    rows = []
-    for g in gb.generators:
-        dg = g.degree()
-        if dg > d:
-            continue
-        for e in monomials_of_degree(n, d - dg):
-            row = [Fraction(0)] * len(mons)
-            for m, cf in g.terms.items():
-                row[idx[mono_mul(m, e)]] += cf
-            rows.append(row)
+    mons = list(_monomial_index(n, d))
+    rows = ideal_rows([g.terms for g in gb.generators], n, d)
     if not rows:
         return [], mons
     ech, piv = rref(Mat(rows))
@@ -443,7 +430,7 @@ def harmonic_basis(Z) -> HarmonicBasis:
         if not kernel:
             by_degree.append([])
             continue
-        ech, piv = rref(Mat(kernel)) if kernel else (None, [])
+        ech, piv = rref(Mat(kernel))
         basis = [MultiPoly(n, {mons[j]: ech.entries[i][j] for j in range(len(mons))})
                  for i in range(len(piv))]
         by_degree.append(basis)
@@ -473,20 +460,59 @@ def apolarity_pair(f: MultiPoly, g: MultiPoly) -> Fraction:
     return total
 
 
-def _degree_echelons(hb: HarmonicBasis):
-    """Echelon per degree over grlex-descending monomial coordinates."""
-    out = []
-    for d, basis in enumerate(hb.by_degree):
-        mons = sorted(monomials_of_degree(hb.n, d), key=grlex_key, reverse=True)
-        idx = {m: i for i, m in enumerate(mons)}
-        ech = Echelon()
-        for g in basis:
-            row = [Fraction(0)] * len(mons)
-            for m, c in g.terms.items():
-                row[idx[m]] = c
-            ech.add(row)
-        out.append((ech, idx, mons))
-    return out
+# -- spans of products ------------------------------------------------------
+
+def degree_echelon(polys, d, p=0):
+    """Echelon of the coordinate rows of degree-d polynomials."""
+    return Echelon.of((coord_row(f, d) for f in polys), p)
+
+
+def _by_degree(polys):
+    return polys.items() if isinstance(polys, dict) else enumerate(polys)
+
+
+def span_products(A, B, target=None, mul=MultiPoly.__mul__, p=0, span=None):
+    """Span of the products mul(f, g), f in A[d1] and g in B[d2], in degree
+    d1 + d2, over Q (``p = 0``) or F_p.
+
+    A, B and ``target`` hold homogeneous polynomials by degree (a list, or a
+    dict degree -> list).  Nonzero products are added to ``span``, a dict
+    degree -> (Echelon, the products it accepted).  Returns (span, escape),
+    where escape is the first product outside the span of ``target`` in its
+    degree, or None.  When ``target`` is given without ``span`` only the
+    membership test runs, and it stops at the first escape.
+    """
+    collect = span is not None or target is None
+    if span is None:
+        span = {}
+    if target is not None:
+        target = dict(_by_degree(target))
+        tspans = {}
+    escape = None
+    for d1, fs in _by_degree(A):
+        for d2, gs in _by_degree(B):
+            d = d1 + d2
+            for f in fs:
+                for g in gs:
+                    prod = mul(f, g)
+                    if prod.is_zero():
+                        continue
+                    row = coord_row(prod, d)
+                    if target is not None and escape is None:
+                        if d not in tspans:
+                            tspans[d] = degree_echelon(target.get(d, ()), d, p)
+                        if not tspans[d].contains(row):
+                            escape = prod
+                            if not collect:
+                                return span, escape
+                    if not collect:
+                        continue
+                    if d not in span:
+                        span[d] = (Echelon(p), [])
+                    ech, kept = span[d]
+                    if ech.add(row):
+                        kept.append(prod)
+    return span, escape
 
 
 def closure_check(Z, Zp):
@@ -508,31 +534,11 @@ def closure_check(Z, Zp):
     V1 = harmonic_basis(Z)
     V2 = harmonic_basis(Zp)
     V12 = harmonic_basis(minkowski_sum(Z, Zp))
-    target = _degree_echelons(V12)
-    top = len(V12.by_degree) - 1
-    span = [Echelon() for _ in range(top + 1)]
-    holds = True
-    witness = None
-    for d1, bs1 in enumerate(V1.by_degree):
-        for d2, bs2 in enumerate(V2.by_degree):
-            d = d1 + d2
-            for f in bs1:
-                for g in bs2:
-                    prod = f * g
-                    if d > top:
-                        holds = False
-                        witness = witness or prod
-                        continue
-                    ech, idx, mons = target[d]
-                    row = [Fraction(0)] * len(mons)
-                    for m, c in prod.terms.items():
-                        row[idx[m]] = c
-                    if not ech.contains(row):
-                        holds = False
-                        witness = witness or prod
-                    span[d].add(row)
-    proper = any(span[d].dim < target[d][0].dim for d in range(top + 1))
-    return holds, proper, witness
+    span, witness = span_products(V1.by_degree, V2.by_degree,
+                                  target=V12.by_degree, span={})
+    dims = {d: len(kept) for d, (_, kept) in span.items()}
+    proper = any(dims.get(d, 0) < len(bs) for d, bs in enumerate(V12.by_degree))
+    return witness is None, proper, witness
 
 
 # -- independent generating-set route --------------------------------------

@@ -1,14 +1,16 @@
 """Exact rational linear algebra on dense matrices.
 
 All entries are ``fractions.Fraction`` (or ints, which are upgraded on the
-fly).  Forward elimination is fraction-free on integer-rescaled rows, so
-intermediate entries stay integral as long as possible; the final pass
-normalizes pivots to 1 with exact division.
+fly).  Every eliminator in the package runs on ``Echelon``, one incremental
+row echelon over Q or F_p.  Over Q it is fraction-free on integer-rescaled
+rows, so intermediate entries stay integral; ``rref`` normalizes pivots to
+1 with exact division only in its final pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -37,76 +39,16 @@ class Mat:
         return [sum(a * x for a, x in zip(row, v)) for row in self.entries]
 
 
-def _int_rows(entries):
-    """Rescale each row by the lcm of denominators; returns integer rows."""
-    out = []
-    for row in entries:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
-
-
-def _strip_content(row):
-    g = 0
-    for a in row:
-        if a:
-            g = gcd(g, a)
-            if g == 1:
-                return row
-    if g > 1:
-        return [a // g for a in row]
-    return row
-
-
-def _forward_eliminate(irows, ncols):
-    """Integer forward elimination; returns echelon integer rows + pivot cols.
-
-    Rows are combined as d*r - c*p (never divided except by content gcd), so
-    every intermediate entry is an integer.
-    """
-    pivots = []       # (col, row list)
-    for r in irows:
-        r = list(r)
-        for (pc, prow) in pivots:
-            c = r[pc]
-            if c:
-                d = prow[pc]
-                r = [d * a - c * b for a, b in zip(r, prow)]
-        r = _strip_content(r)
-        pc = next((j for j, a in enumerate(r) if a), None)
-        if pc is not None:
-            if r[pc] < 0:
-                r = [-a for a in r]
-            pivots.append((pc, r))
-    pivots.sort(key=lambda t: t[0])
-    return pivots
-
-
 def rref(M: Mat):
     """Reduced row-echelon form.  Returns (echelon Mat, pivot column list)."""
-    pivots = _forward_eliminate(_int_rows(M.entries), M.cols)
-    # back-substitute with exact rational division
-    reduced = []
-    for k in range(len(pivots) - 1, -1, -1):
-        pc, row = pivots[k]
-        frow = [Fraction(a, row[pc]) for a in row]
-        for (qc, qrow) in reduced:
-            c = frow[qc]
-            if c:
-                frow = [a - c * b for a, b in zip(frow, qrow)]
-        reduced.append((pc, frow))
-    reduced.sort(key=lambda t: t[0])
-    piv_cols = [pc for pc, _ in reduced]
-    ech = [frow for _, frow in reduced]
-    for _ in range(M.rows - len(ech)):
-        ech.append([Fraction(0)] * M.cols)
-    return Mat(ech), piv_cols
+    piv, rows = Echelon.of(M.entries).rref()
+    for _ in range(M.rows - len(rows)):
+        rows.append([Fraction(0)] * M.cols)
+    return Mat(rows), piv
 
 
 def rank(M: Mat) -> int:
-    return len(_forward_eliminate(_int_rows(M.entries), M.cols))
+    return Echelon.of(M.entries).dim
 
 
 def nullspace(M: Mat):
@@ -115,16 +57,7 @@ def nullspace(M: Mat):
     The free column's coordinate is 1 in its basis vector, so the result is
     in (transposed) reduced echelon form and deterministic.
     """
-    ech, piv = rref(M)
-    free = [j for j in range(M.cols) if j not in piv]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(piv):
-            v[pc] = -ech.entries[i][f]
-        basis.append(v)
-    return basis
+    return Echelon.of(M.entries).kernel(M.cols)
 
 
 def solve(M: Mat, b):
@@ -142,49 +75,141 @@ def solve(M: Mat, b):
 
 
 class Echelon:
-    """Incremental row space with exact reduction, used for span/membership.
+    """Incremental row echelon over Q (``p = 0``) or F_p (``p`` prime).
 
-    Rows are kept fraction-free (primitive integer vectors).  ``reduce``
-    returns the residual of a vector against the current span; ``add``
-    extends the span and reports whether the vector was new.
+    Over Q rows are kept as primitive integer vectors: a row is combined
+    with a pivot row as d*r - c*pivot and stripped of its content after
+    each step and when it is pushed, so no fraction appears.  Over F_p entries live in [0, p) and
+    pivot rows are normalised to a leading 1.  A row may carry a
+    combination dict (key -> coefficient) that is reduced together with it,
+    so a dependent row's combination records the relation that killed it.
     """
 
-    __slots__ = ("pivots",)
+    __slots__ = ("p", "pivots")
 
-    def __init__(self):
-        self.pivots = []  # list of (pivcol, primitive integer row)
+    def __init__(self, p=0):
+        self.p = p
+        self.pivots = []  # (pivot column, row, combination or None)
+
+    @classmethod
+    def of(cls, rows, p=0):
+        """Echelon of the given rational rows."""
+        ech = cls(p)
+        for r in rows:
+            ech.add(r)
+        return ech
 
     @property
     def dim(self):
         return len(self.pivots)
 
-    def _as_int(self, v):
-        den = 1
-        for x in v:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        if den == 1:
-            return [int(x) for x in v]
-        return [int(x * den) for x in v]
-
-    def residual(self, v):
-        r = self._as_int(v)
-        for (pc, prow) in self.pivots:
+    def reduce(self, v, combo=None):
+        """Residual of an integer row v against the span, and its reduced
+        combination."""
+        p = self.p
+        if p:
+            r = [x % p for x in v]
+            if combo is not None:
+                combo = dict(combo)
+            for pc, prow, pcombo in self.pivots:
+                c = r[pc]
+                if c:
+                    r = [(a - c * b) % p for a, b in zip(r, prow)]
+                    if combo is not None:
+                        for m, x in pcombo.items():
+                            combo[m] = (combo.get(m, 0) - c * x) % p
+            return r, combo
+        r = list(v)
+        for pc, prow, pcombo in self.pivots:
             c = r[pc]
-            if c:
-                d = prow[pc]
-                r = [d * a - c * b for a, b in zip(r, prow)]
-        return _strip_content(r)
+            if not c:
+                continue
+            d = prow[pc]
+            r = [d * a - c * b for a, b in zip(r, prow)]
+            if combo is not None:
+                combo = {m: d * x for m, x in combo.items()}
+                for m, x in pcombo.items():
+                    combo[m] = combo.get(m, 0) - c * x
+            r, combo = _strip(r, combo)
+        return r, combo
 
     def contains(self, v) -> bool:
-        return not any(self.residual(v))
+        return not any(self.reduce(_as_int(v))[0])
 
     def add(self, v) -> bool:
-        r = self.residual(v)
+        """Extend the span by a rational row v; True iff v was new."""
+        return self.push(*self.reduce(_as_int(v)))
+
+    def push(self, r, combo=None) -> bool:
+        """Append a row already reduced against the span; True iff nonzero."""
         pc = next((j for j, a in enumerate(r) if a), None)
         if pc is None:
             return False
-        if r[pc] < 0:
-            r = [-a for a in r]
-        self.pivots.append((pc, r))
+        if not self.p:
+            r, combo = _strip(r, combo)
+        elif r[pc] != 1:
+            inv = pow(r[pc], -1, self.p)
+            r = [a * inv % self.p for a in r]
+            if combo is not None:
+                combo = {m: x * inv % self.p for m, x in combo.items()}
+        self.pivots.append((pc, r, combo))
         return True
+
+    def rref(self):
+        """(pivot columns, reduced echelon rows with leading 1), by column."""
+        p = self.p
+        done = []
+        for pc, row, _ in sorted(self.pivots, key=lambda t: t[0], reverse=True):
+            r = list(row) if p else [Fraction(a, row[pc]) for a in row]
+            for qc, qrow in done:
+                c = r[qc]
+                if c:
+                    r = [a - c * b for a, b in zip(r, qrow)]
+                    if p:
+                        r = [a % p for a in r]
+            done.append((pc, r))
+        done.reverse()
+        return [pc for pc, _ in done], [r for _, r in done]
+
+    def kernel(self, ncols):
+        """Basis of the right kernel, one vector per free column.
+
+        The free column's coordinate is 1 in its basis vector, so the result
+        is deterministic.
+        """
+        piv, rows = self.rref()
+        p = self.p
+        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+        basis = []
+        for f in range(ncols):
+            if f in piv:
+                continue
+            v = [zero] * ncols
+            v[f] = one
+            for pc, r in zip(piv, rows):
+                v[pc] = -r[f] % p if p else -r[f]
+            basis.append(v)
+        return basis
+
+
+def _strip(r, combo):
+    """Divide an integer row and its combination by their shared content."""
+    g = 0
+    for a in (r if combo is None else chain(r, combo.values())):
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                return r, combo
+    if g > 1:
+        r = [a // g for a in r]
+        if combo is not None:
+            combo = {m: a // g for m, a in combo.items()}
+    return r, combo
+
+
+def _as_int(v):
+    """Integer multiple of a rational vector (by the lcm of denominators)."""
+    den = 1
+    for x in v:
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in v]

@@ -8,9 +8,9 @@ factorials appear).
 
 from __future__ import annotations
 
-import heapq
-
-from .harmonics import grlex_key, mono_divides, monomials_of_degree
+from .harmonics import (_run_bm, grlex_key, ideal_rows, monomials_of_degree,
+                        span_products)
+from .linalg import Echelon
 
 
 class PointCollisionError(ValueError):
@@ -112,87 +112,6 @@ def _reduce_points(Z, p):
     return pts
 
 
-def _bm_modp(points, p):
-    """Standard monomials and graded-basis tails of the vanishing ideal over F_p."""
-    n = len(points[0])
-    N = len(points)
-    heap = [(grlex_key((0,) * n), (0,) * n)]
-    seen = {(0,) * n}
-    pivots = []   # (pivcol, vector mod p, combo dict)
-    std = []
-    gens = []
-    lead_terms = []
-    while heap:
-        _, mono = heapq.heappop(heap)
-        if any(mono_divides(lt, mono) for lt in lead_terms):
-            continue
-        vec = []
-        for z in points:
-            val = 1
-            for x, e in zip(z, mono):
-                for _ in range(e):
-                    val = val * x % p
-            vec.append(val)
-        combo = {mono: 1}
-        for (pc, pv, pcombo) in pivots:
-            c = vec[pc]
-            if c:
-                # pivot rows are normalized, pv[pc] == 1
-                vec = [(a - c * b) % p for a, b in zip(vec, pv)]
-                for m, v in pcombo.items():
-                    combo[m] = (combo.get(m, 0) - c * v) % p
-        pc = next((i for i, a in enumerate(vec) if a), None)
-        if pc is None:
-            lead_terms.append(mono)
-            gens.append({m: c for m, c in combo.items() if c})
-            continue
-        inv = pow(vec[pc], p - 2, p)
-        vec = [a * inv % p for a in vec]
-        combo = {m: c * inv % p for m, c in combo.items()}
-        pivots.append((pc, vec, combo))
-        std.append(mono)
-        for i in range(n):
-            suc = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            if suc not in seen:
-                seen.add(suc)
-                heapq.heappush(heap, (grlex_key(suc), suc))
-    if len(std) != N:
-        raise RuntimeError("rank deficiency over F_p on distinct points")
-    return std, gens
-
-
-class _FpEchelon:
-    """Incremental row echelon over F_p for membership tests."""
-
-    def __init__(self, p):
-        self.p = p
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-    def residual(self, row):
-        r = [x % self.p for x in row]
-        for (pc, pv) in self.pivots:
-            c = r[pc]
-            if c:
-                r = [(a - c * b) % self.p for a, b in zip(r, pv)]
-        return r
-
-    def contains(self, row):
-        return not any(self.residual(row))
-
-    def add(self, row):
-        r = self.residual(row)
-        pc = next((j for j, a in enumerate(r) if a), None)
-        if pc is None:
-            return False
-        inv = pow(r[pc], self.p - 2, self.p)
-        self.pivots.append((pc, [a * inv % self.p for a in r]))
-        return True
-
-
 def harmonic_basis_modp(Z, p):
     """Degreewise dual-space bases over F_p, as DividedPoly lists.
 
@@ -201,32 +120,19 @@ def harmonic_basis_modp(Z, p):
     """
     points = _reduce_points(Z, p)
     n = len(points[0])
-    std, gens = _bm_modp(points, p)
+    std, gens = _run_bm(points, p, track=True)
     # top components of the generators span the graded ideal degreewise
-    taus = []
-    for g in gens:
-        d = max(sum(m) for m in g)
-        taus.append({m: c for m, c in g.items() if sum(m) == d})
+    taus = [{m: c for m, c in combo.items() if c and sum(m) == sum(lead)}
+            for lead, combo in gens]
     top = max(sum(m) for m in std)
     counts = {}
     for m in std:
         counts[sum(m)] = counts.get(sum(m), 0) + 1
     by_degree = []
     for d in range(top + 1):
-        mons = sorted(monomials_of_degree(n, d), key=grlex_key, reverse=True)
-        idx = {m: i for i, m in enumerate(mons)}
-        rows = []
-        for tau in taus:
-            dt = sum(next(iter(tau)))
-            if dt > d:
-                continue
-            for e in monomials_of_degree(n, d - dt):
-                row = [0] * len(mons)
-                for m, c in tau.items():
-                    m2 = tuple(a + b for a, b in zip(m, e))
-                    row[idx[m2]] = (row[idx[m2]] + c) % p
-                rows.append(row)
-        basis = _fp_nullspace_echelon(rows, len(mons), p)
+        mons = monomials_of_degree(n, d)
+        rows = ideal_rows(taus, n, d)
+        basis = Echelon.of(rows, p).kernel(len(mons))
         polys = [DividedPoly(p, n, {mons[j]: v[j] for j in range(len(mons))})
                  for v in basis]
         if len(polys) != counts.get(d, 0):
@@ -235,79 +141,20 @@ def harmonic_basis_modp(Z, p):
     return by_degree
 
 
-def _fp_nullspace_echelon(rows, ncols, p):
-    """Nullspace basis over F_p in reduced echelon form."""
-    ech = _FpEchelon(p)
-    for r in rows:
-        ech.add(r)
-    piv_cols = sorted(pc for (pc, _) in ech.pivots)
-    # back-substitute to RREF of the row space
-    rmat = []
-    for (pc, pv) in sorted(ech.pivots):
-        rmat.append((pc, list(pv)))
-    for i in range(len(rmat) - 1, -1, -1):
-        pc, pv = rmat[i]
-        for j in range(i):
-            qj, qv = rmat[j]
-            c = qv[pc]
-            if c:
-                rmat[j] = (qj, [(a - c * b) % p for a, b in zip(qv, pv)])
-    rref_rows = {pc: pv for (pc, pv) in rmat}
-    free = [j for j in range(ncols) if j not in rref_rows]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for pc, pv in rref_rows.items():
-            v[pc] = (-pv[f]) % p
-        basis.append(v)
-    # normalize: reduced echelon of the basis itself (already is, by freedom pattern)
-    return basis
-
-
 def closure_check_modp(Z, Zp, p) -> bool:
     """Product containment of dual spaces over F_p; True on all valid inputs."""
     pts1 = _reduce_points(Z, p)
     pts2 = _reduce_points(Zp, p)
     if len(pts1[0]) != len(pts2[0]):
         raise ValueError("ambient dimension mismatch")
-    n = len(pts1[0])
     # the sumset lives in F_p^n: add coordinatewise mod p and deduplicate
     Zsum = sorted({tuple((a + b) % p for a, b in zip(z, zp))
                    for z in pts1 for zp in pts2})
-    Z, Zp = pts1, pts2
-    V1 = harmonic_basis_modp(Z, p)
-    V2 = harmonic_basis_modp(Zp, p)
-    V12 = harmonic_basis_modp(Zsum, p)
-    top = len(V12) - 1
-    targets = []
-    for d in range(top + 1):
-        mons = sorted(monomials_of_degree(n, d), key=grlex_key, reverse=True)
-        idx = {m: i for i, m in enumerate(mons)}
-        ech = _FpEchelon(p)
-        for g in V12[d]:
-            row = [0] * len(mons)
-            for m, c in g.terms.items():
-                row[idx[m]] = c
-            ech.add(row)
-        targets.append((ech, idx, len(mons)))
-    for d1, bs1 in enumerate(V1):
-        for d2, bs2 in enumerate(V2):
-            d = d1 + d2
-            for f in bs1:
-                for g in bs2:
-                    prod = divided_mul(f, g)
-                    if prod.is_zero():
-                        continue
-                    if d > top:
-                        return False
-                    ech, idx, k = targets[d]
-                    row = [0] * k
-                    for m, c in prod.terms.items():
-                        row[idx[m]] = c
-                    if not ech.contains(row):
-                        return False
-    return True
+    _, escape = span_products(harmonic_basis_modp(pts1, p),
+                              harmonic_basis_modp(pts2, p),
+                              target=harmonic_basis_modp(Zsum, p),
+                              mul=divided_mul, p=p)
+    return escape is None
 
 
 def beta_bound(r, rp, p) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from .linalg import Mat, solve
+from .linalg import Mat, rank, solve
 
 
 class PointLocus:
@@ -96,21 +96,6 @@ def _cofactor_normal(diffs, d):
     if not any(normal):
         return None
     return normal
-
-
-def _int_rank(rows, ncols):
-    pivots = []
-    for r in rows:
-        r = list(r)
-        for (pc, prow) in pivots:
-            c = r[pc]
-            if c:
-                d = prow[pc]
-                r = [d * a - c * b for a, b in zip(r, prow)]
-        pc = next((j for j, a in enumerate(r) if a), None)
-        if pc is not None:
-            pivots.append((pc, r))
-    return len(pivots)
 
 
 def _integer_kernel(rows, n):
@@ -239,7 +224,7 @@ class LatticePolytope:
             return 0
         active = [nrm for (nrm, off) in self._facets
                   if sum(a * b for a, b in zip(nrm, u)) == off]
-        return _int_rank(active, self.dim)
+        return rank(Mat(active))
 
     # -- facets ----------------------------------------------------------
 

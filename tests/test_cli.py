@@ -114,6 +114,20 @@ class TestCommands:
         assert out == dict(json.loads(fresh),
                            polytope=dict(obj, name="renamed-square"))
 
+    def test_guess_uses_cache(self, square_file, tmp_path, capsys,
+                              monkeypatch):
+        cachedir = str(tmp_path / "cache")
+        argv = ["guess", square_file, "--max-t", "6", "--cache", cachedir]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("guess recomputed a cached record")
+
+        monkeypatch.setattr("qehrhart.cli.compute_record", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"vertices\": []}")

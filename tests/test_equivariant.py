@@ -41,6 +41,12 @@ class TestGradedCharacter:
     def test_case_triangle_swap(self, case_triangle):
         assert graded_character(case_triangle, SWAP, 1) == QPoly([1, 0, 1])
 
+    def test_case_triangle_swap_pinned(self, case_triangle):
+        want = [[1], [1, 0, 1], [1, 0, 1, 1, 1], [1, 0, 1, 0, 1, 1, 1],
+                [1, 0, 1, 0, 1, 0, 2, 1, 1], [1, 0, 1, 0, 1, 0, 1, 0, 2, 1, 1]]
+        for m, coeffs in enumerate(want):
+            assert graded_character(case_triangle, SWAP, m) == QPoly(coeffs)
+
     def test_q1_counts_fixed_points(self, case_triangle):
         for b in (1, 2, 3):
             P = segment(-b, 2 * b)

@@ -9,7 +9,8 @@ from qehrhart import (MultiPoly, PointLocus, apolarity_pair,
                       gr_component, gr_ideal, harmonic_basis,
                       product_gens_oracle)
 from qehrhart.harmonics import (TooLargeError, dump_poly, grlex_key,
-                                hilbert_qpoly, monomials_of_degree)
+                                hilbert_qpoly, monomials_of_degree,
+                                span_products)
 from qehrhart.qseries import QPoly
 
 HERE = os.path.dirname(__file__)
@@ -212,6 +213,16 @@ class TestClosure:
             holds, _, _ = closure_check(PointLocus(2, sorted(A)),
                                         PointLocus(2, sorted(B)))
             assert holds
+
+    def test_span_products_escape(self):
+        one = poly(2, {(0, 0): 1})
+        x, y = poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})
+        A, B, target = [[one]], [[], [x, y]], [[one], [x]]
+        # without a span only membership is tested, up to the first escape
+        assert span_products(A, B, target=target) == ({}, y)
+        span, escape = span_products(A, B, target=target, span={})
+        assert escape == y
+        assert span[1][1] == [x, y] and span[1][0].dim == 2
 
 
 class TestProductOracle:

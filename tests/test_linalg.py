@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +56,13 @@ def test_rank_nullity(rows):
     assert rank(M) + len(ns) == M.cols
     for v in ns:
         assert all(x == 0 for x in M.mul_vec(v))
+
+
+def test_echelon_rows_primitive_over_q():
+    ech = Echelon.of([[2, 4, 0], [Fraction(3, 2), 0, 3], [6, 3, 12]])
+    assert ech.dim == 3
+    for _, row, _ in ech.pivots:
+        assert gcd(*row) == 1
 
 
 @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=2, max_size=4))

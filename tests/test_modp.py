@@ -1,10 +1,35 @@
+import os
 import random
 from itertools import product as iproduct
 
 import pytest
 
 from qehrhart import beta_bound, closure_check_modp, divided_mul, harmonic_basis_modp
+from qehrhart.linalg import Echelon
 from qehrhart.modp import DividedPoly, PointCollisionError, binom_mod
+
+HERE = os.path.dirname(__file__)
+
+# planar loci, each with its prime; every locus is distinct mod its prime
+GOLDEN_LOCI = (
+    (2, [(0, 0), (1, 0), (0, 1)]),
+    (2, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+    (3, [(0, 0), (1, 1), (1, 2), (2, 1)]),
+    (3, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2)]),
+    (5, [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2),
+         (3, 3), (4, 2)]),
+    (5, [(0, 0), (4, 1), (1, 3), (3, 3), (2, 0), (0, 4)]),
+    (7, [(0, 0), (1, 2), (2, 1), (3, 5), (5, 3), (6, 6), (4, 0)]),
+)
+
+
+def golden_modp_lines():
+    lines = []
+    for p, pts in GOLDEN_LOCI:
+        lines.append(f"# p={p} {pts}")
+        for d, basis in enumerate(harmonic_basis_modp(pts, p)):
+            lines.extend(f"{d}: {g!r}" for g in basis)
+    return lines
 
 
 def dp(p, n, terms):
@@ -98,6 +123,31 @@ class TestHarmonicModP:
                 dims = [len(b) for b in harmonic_basis_modp(pts, p)]
                 char0 = hilbert_qpoly(pts)
                 assert dims == [int(c) for c in char0.coeffs]
+
+
+    def test_golden_dump(self):
+        with open(os.path.join(HERE, "golden", "modp_bases.txt")) as fh:
+            assert fh.read().splitlines() == golden_modp_lines()
+
+
+class TestEchelonModP:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_exhaustive_span(self, p):
+        # dim and contains against the span listed by every combination
+        rng = random.Random(p)
+        for _ in range(60):
+            k = rng.randint(1, 3)
+            rows = [[rng.randrange(p) for _ in range(k)]
+                    for _ in range(rng.randint(0, 3))]
+            ech = Echelon(p)
+            for r in rows:
+                ech.add(r)
+            span = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p
+                          for j in range(k))
+                    for cs in iproduct(range(p), repeat=len(rows))}
+            assert p ** ech.dim == len(span)
+            for v in iproduct(range(p), repeat=k):
+                assert ech.contains(list(v)) == (v in span)
 
 
 class TestClosureModP:
