@@ -4,10 +4,22 @@ semi-open parallelepipeds, rational-form guessing, reciprocity, and the
 classical (q = 1) cross-checks.
 
 The per-dilate count is the graded dimension of the dual space attached to
-the dilate's lattice points.  Down-closed polytopes in the nonnegative
-orthant short-circuit to a direct weight count; lower-dimensional polytopes
-are computed in hull coordinates.  Both shortcuts agree with the general
-route and the tests exercise that agreement.
+the dilate's lattice points, which an invertible affine lattice map leaves
+unchanged.  Counting works in hull coordinates and takes the first route
+that applies:
+
+- weight: a down-closed polytope in the nonnegative orthant counts q to the
+  coordinate sum of each point (for the relative interior, divided by
+  q^dim);
+- corner: a polytope with a corner map (``LatticePolytope.corner_map``) is
+  a unimodular image of a down-closed one, and counts the weights of the
+  mapped points the same way;
+- memo: a locus counted before, up to translation, is not counted again;
+- elimination: count-mode Buchberger–Möller on the locus.
+
+Counts are memoised per (vertices, m, interior) and per locus, in one
+bounded dict.  Every route checks that the count sums to the number of
+points, and the tests compare each shortcut with elimination.
 """
 
 from __future__ import annotations
@@ -24,7 +36,33 @@ class NotASimplexError(ValueError):
     """Operation requires a simplex (dim + 1 vertices)."""
 
 
-_iq_memo = {}   # (vertices, m, interior) -> QPoly
+MEMO_CAP = 4096   # entries; once full, the oldest entry goes first
+_memo = {}        # ("polytope", vertices, m, interior) or ("locus", ...) -> QPoly
+_locus_stats = {"hits": 0, "misses": 0}
+
+
+def clear_memo():
+    """Empty the count memo and reset its locus counters."""
+    _memo.clear()
+    _locus_stats.update(hits=0, misses=0)
+
+
+def memo_stats():
+    """Locus-key hits and misses since the last clear."""
+    return dict(_locus_stats)
+
+
+def _remember(key, value):
+    if len(_memo) >= MEMO_CAP:
+        del _memo[next(iter(_memo))]
+    _memo[key] = value
+
+
+def _locus_key(pts):
+    """The locus translated to coordinatewise minimum 0, sorted, flattened."""
+    lo = [min(c) for c in zip(*pts)]
+    return ("locus", len(lo),
+            tuple(x - a for u in sorted(pts) for x, a in zip(u, lo)))
 
 
 def _weight_poly(locus):
@@ -39,30 +77,48 @@ def _weight_poly(locus):
     return QPoly([counts.get(d, 0) for d in range(top + 1)])
 
 
-def _locus_in_hull_coords(P: LatticePolytope, locus, m):
-    return [P.hull_coords(z, scale=m) for z in locus]
+def _orthant_count(locus, dim, interior):
+    """Count of a down-closed locus, or of the interior of a down-closed
+    polytope (its interior locus less the all-ones vector is down-closed)."""
+    out = _weight_poly(locus)
+    return out.divide_by_q_power(dim) if interior else out
 
 
 def _count(P: LatticePolytope, m: int, interior: bool) -> QPoly:
-    key = (P.vertices, m, interior)
-    if key in _iq_memo:
-        return _iq_memo[key]
-    locus = P.interior_lattice_points(m) if interior else P.lattice_points(m)
-    if len(locus) == 0:
+    key = ("polytope", P.vertices, m, interior)
+    out = _memo.get(key)
+    if out is not None:
+        return out
+    if P.dim == P.ambient_dim or P.is_antiblocking():
+        # ambient coordinates: the hull ones, or the ones the weights need
+        enum = P.interior_lattice_points if interior else P.lattice_points
+        pts = enum(m).points
+    else:
+        pts = P._hull_points(m, interior)
+    if not pts:
         out = QPoly.zero()
-    elif P.is_antiblocking():
-        out = _weight_poly(locus)
-        if interior:
-            out = out.divide_by_q_power(P.dim)
     elif P.dim == 0:
         out = QPoly.one()
+    elif P.is_antiblocking():
+        out = _orthant_count(pts, P.dim, interior)
+    elif (corner := P.corner_map()) is not None:
+        v, Binv = corner
+        mv = [m * x for x in v]
+        out = _orthant_count(
+            [tuple(sum(r * (x - y) for r, x, y in zip(row, u, mv))
+                   for row in Binv) for u in pts], P.dim, interior)
     else:
-        pts = (_locus_in_hull_coords(P, locus, m)
-               if P.dim < P.ambient_dim else list(locus))
-        out = hilbert_qpoly(pts)
-    if out(1) != len(locus):
+        lkey = _locus_key(pts)
+        out = _memo.get(lkey)
+        if out is None:
+            _locus_stats["misses"] += 1
+            out = hilbert_qpoly(pts)
+            _remember(lkey, out)
+        else:
+            _locus_stats["hits"] += 1
+    if out(1) != len(pts):
         raise InconsistencyError("graded count does not sum to the point count")
-    _iq_memo[key] = out
+    _remember(key, out)
     return out
 
 
@@ -216,7 +272,12 @@ def weight_reciprocity_check(N: BivarPoly, Nbar: BivarPoly, den, d: int) -> bool
 # -- structural identity checks ----------------------------------------------
 
 def check_dilation(P: LatticePolytope, d: int, T: int) -> bool:
-    """Series of dP versus the subsequence of dilate counts of P."""
+    """Series of dP versus the subsequence of dilate counts of P.
+
+    Both sides share the count memo, and the lattice points of m(dP) and
+    (dm)P form one locus, so within one process this compares the
+    enumerated loci (and routes); the counts themselves are computed once.
+    """
     lhs = series_E(P.dilate(d), T)
     rhs = TQSeries([iq(P, d * m) for m in range(T + 1)], T)
     return lhs == rhs

@@ -82,7 +82,12 @@ def _substitute(poly: MultiPoly, matrix):
 
 
 def graded_character(P: LatticePolytope, g: GroupElement, m: int) -> QPoly:
-    """Trace of the symmetry on each degree piece of the dilate's dual space."""
+    """Trace of the symmetry on each degree piece of the dilate's dual space.
+
+    Reads each image's coordinate at the basis element's leading monomial,
+    which is valid for the reduced bases over Q only; the F_p bases of
+    ``harmonic_basis_modp`` are reduced against the other column order.
+    """
     if not stabilizer_check(P, g):
         raise NotASymmetryError(f"{g.id} does not stabilize the polytope")
     comp = component(P, m)

@@ -123,9 +123,6 @@ class MultiPoly:
         d = self.degree()
         return MultiPoly(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def homogeneous_part(self, d):
-        return MultiPoly(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
-
     def is_homogeneous(self):
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1

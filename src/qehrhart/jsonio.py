@@ -1,5 +1,5 @@
-"""JSON schemas for polytopes, posets, groups, character tables, and
-result records, plus an atomic content-addressed cache.
+"""JSON schemas for polytopes, posets, groups and result records, plus an
+atomic content-addressed cache.
 
 Integers that may exceed 64 bits are serialized as decimal strings so
 exactness survives any JSON reader.
@@ -11,9 +11,8 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 
-from .equivariant import CharacterTable, GroupElement
+from .equivariant import GroupElement
 from .polytope import LatticePolytope
 from .posets import Poset
 from .qseries import BivarPoly, QPoly, RatFun2
@@ -72,24 +71,10 @@ def poset_in(obj):
     return Poset(int(obj["n"]), [tuple(c) for c in obj.get("covers", [])])
 
 
-def poset_out(poset: Poset):
-    return {"n": poset.n, "covers": [list(c) for c in sorted(poset.covers)]}
-
-
 def group_in(obj):
     return [GroupElement(e["id"], tuple(tuple(int(x) for x in row)
                                         for row in e["matrix"]))
             for e in obj["elements"]]
-
-
-def table_in(obj):
-    return CharacterTable(
-        obj.get("name", "table"),
-        tuple(obj["class_ids"]),
-        tuple(int(s) for s in obj["class_sizes"]),
-        tuple(obj["irreducibles"]),
-        tuple(tuple(Fraction(v) for v in row) for row in obj["values"]),
-    ).check()
 
 
 def record_out(rec):

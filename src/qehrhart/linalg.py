@@ -54,8 +54,9 @@ def rank(M: Mat) -> int:
 def nullspace(M: Mat):
     """Basis of the right kernel, one vector per free column.
 
-    The free column's coordinate is 1 in its basis vector, so the result is
-    in (transposed) reduced echelon form and deterministic.
+    The free column's coordinate is 1 in its basis vector and 0 in the
+    others, so the result is the reduced echelon form of the kernel against
+    the reversed column order, and canonical.
     """
     return Echelon.of(M.entries).kernel(M.cols)
 

@@ -116,7 +116,14 @@ def harmonic_basis_modp(Z, p):
     """Degreewise dual-space bases over F_p, as DividedPoly lists.
 
     Same pipeline as the characteristic-zero case, but with unit pairing
-    weights <x^a, y^(b)> = [a == b] and divided-power monomials.
+    weights <x^a, y^(b)> = [a == b] and divided-power monomials.  Each
+    degree's basis is the free-column kernel basis: one element per free
+    monomial, with coordinate 1 there and 0 at every other free monomial.
+    That is the reduced echelon form of the dual space against
+    grlex-ascending columns, so it is canonical: equal dual spaces give
+    equal lists.  The characteristic-zero bases are reduced against
+    grlex-descending columns instead, so an element's coordinate at its
+    leading monomial is not its pivot here.
     """
     points = _reduce_points(Z, p)
     n = len(points[0])

@@ -46,10 +46,6 @@ class PointLocus:
     def __repr__(self):
         return f"PointLocus(dim={self.ambient_dim}, n={len(self.points)})"
 
-    def translate(self, v):
-        return PointLocus(self.ambient_dim,
-                          [tuple(a + b for a, b in zip(p, v)) for p in self.points])
-
 
 def minkowski_sum(Z: PointLocus, Zp: PointLocus) -> PointLocus:
     """Sorted deduplicated sumset {z + z'}."""
@@ -83,6 +79,14 @@ def _int_det(rows):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
             total += (-1) ** j * rows[0][j] * _int_det(minor)
     return total
+
+
+def _int_inverse(rows, det):
+    """Inverse of an integer matrix of determinant det = +-1 (adjugate * det)."""
+    n = len(rows)
+    return [[det * (-1) ** (i + j) * _int_det(
+                [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
 
 
 def _cofactor_normal(diffs, d):
@@ -142,6 +146,9 @@ def _integer_kernel(rows, n):
     return [tuple(U[i][j] for i in range(n)) for j in kernel_cols]
 
 
+_UNKNOWN = object()   # marks a cached property not yet computed
+
+
 class LatticePolytope:
     """Convex hull of integer points; cached hull and facet data.
 
@@ -166,9 +173,12 @@ class LatticePolytope:
         points_u = [self.hull_coords(p) for p in dedup]
         self._facets = self._compute_facets(points_u)
         # a generating point is extreme iff its active facet normals span
-        self.vertices = tuple(
-            p for p, u in zip(dedup, points_u) if self._active_rank(u) == self.dim)
+        extreme = [(p, u) for p, u in zip(dedup, points_u)
+                   if self._active_rank(u) == self.dim]
+        self.vertices = tuple(p for p, _ in extreme)
+        self._vertices_u = [u for _, u in extreme]
         self._antiblocking = None
+        self._corner = _UNKNOWN
 
     # -- hull -----------------------------------------------------------
 
@@ -216,15 +226,15 @@ class LatticePolytope:
                      + sum(u[k] * self.lattice_basis[k][i] for k in range(self.dim))
                      for i in range(n))
 
-    def _vertex_hull_coords(self):
-        return [self.hull_coords(v) for v in self.vertices]
+    def _active(self, u):
+        """Normals of the facets through the hull point u."""
+        return [nrm for (nrm, off) in self._facets
+                if sum(a * b for a, b in zip(nrm, u)) == off]
 
     def _active_rank(self, u):
         if self.dim == 0:
             return 0
-        active = [nrm for (nrm, off) in self._facets
-                  if sum(a * b for a, b in zip(nrm, u)) == off]
-        return rank(Mat(active))
+        return rank(Mat(self._active(u)))
 
     # -- facets ----------------------------------------------------------
 
@@ -288,12 +298,13 @@ class LatticePolytope:
             raise ValueError("interior enumeration needs m >= 1")
         return self._enumerate(m, strict=True)
 
-    def _enumerate(self, m, strict):
+    def _hull_points(self, m, strict):
+        """Hull coordinates of the integer points of mP (of its relative
+        interior if ``strict``), in lexicographic order."""
         d = self.dim
         if d == 0:
-            pt = tuple(m * x for x in self.base)
-            return PointLocus(self.ambient_dim, [pt])
-        verts_u = self._vertex_hull_coords()
+            return [()]
+        verts_u = self._vertices_u
         lo = [m * min(u[k] for u in verts_u) for k in range(d)]
         hi = [m * max(u[k] for u in verts_u) for k in range(d)]
         pts = []
@@ -305,7 +316,13 @@ class LatticePolytope:
                     ok = False
                     break
             if ok:
-                pts.append(self.from_hull_coords(u, scale=m))
+                pts.append(u)
+        return pts
+
+    def _enumerate(self, m, strict):
+        pts = self._hull_points(m, strict)
+        if self.dim < self.ambient_dim:
+            pts = [self.from_hull_coords(u, scale=m) for u in pts]
         return PointLocus(self.ambient_dim, pts)
 
     def count(self, m):
@@ -349,6 +366,45 @@ class LatticePolytope:
         if self._antiblocking is None:
             self._antiblocking = self._check_antiblocking()
         return self._antiblocking
+
+    def corner_map(self):
+        """A vertex v and an integer matrix Binv with Binv (P - v) antiblocking,
+        both in hull coordinates, or None.
+
+        Vertices are tried in order.  A vertex qualifies when P is simple
+        there (exactly dim edges) and the primitive edge directions form a
+        lattice basis B (the columns of B, det +-1); Binv is B's inverse.
+        The image is antiblocking when every facet not through v pulls back
+        to a nonnegative normal.  Any antiblocking unimodular image sends
+        some vertex to 0 and its edges onto the axes, so the search is
+        complete.  Computed once per polytope.
+        """
+        if self._corner is _UNKNOWN:
+            self._corner = self._find_corner()
+        return self._corner
+
+    def _find_corner(self):
+        d = self.dim
+        if d == 0:
+            return None
+        verts_u = self._vertices_u
+        active = [set(self._active(u)) for u in verts_u]
+        for i, v in enumerate(verts_u):
+            edges = [_primitive(tuple(a - b for a, b in zip(w, v)))
+                     for j, w in enumerate(verts_u)
+                     if j != i and rank(Mat(list(active[i] & active[j]))) == d - 1]
+            if len(edges) != d:
+                continue
+            B = [[e[k] for e in edges] for k in range(d)]   # edges as columns
+            det = _int_det(B)
+            if det not in (1, -1):
+                continue
+            if all(off == sum(a * b for a, b in zip(nrm, v))
+                   or all(sum(nrm[k] * B[k][j] for k in range(d)) >= 0
+                          for j in range(d))
+                   for (nrm, off) in self._facets):
+                return v, _int_inverse(B, det)
+        return None
 
     def _check_antiblocking(self):
         if any(x < 0 for v in self.vertices for x in v):

@@ -55,15 +55,6 @@ class Poset:
                     out.append(sub)
         return out
 
-    def maximal_chains(self):
-        ch = self.chains()
-        chset = set(ch)
-        out = []
-        for c in ch:
-            if not any(set(c) < set(d) for d in chset if d != c):
-                out.append(c)
-        return out
-
     def is_antichain(self, sub):
         return not any(self.less(a, b) or self.less(b, a)
                        for a, b in combinations(sub, 2))

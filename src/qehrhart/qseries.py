@@ -166,11 +166,6 @@ class TQSeries:
         return (isinstance(other, TQSeries) and self.T == other.T
                 and self.coeffs == other.coeffs)
 
-    def truncate(self, T):
-        if T > self.T:
-            raise InsufficientTruncationError("cannot extend a truncation")
-        return TQSeries(self.coeffs[: T + 1], T)
-
     def __add__(self, other):
         T = min(self.T, other.T)
         return TQSeries([self[m] + other[m] for m in range(T + 1)], T)
@@ -256,10 +251,6 @@ class BivarPoly:
 
     def t_degree(self):
         return max((i for (i, _) in self.terms), default=-1)
-
-    def substitute_inverse(self):
-        """t -> 1/t, q -> 1/q, as a Laurent dict (negative exponents)."""
-        return {(-i, -j): c for (i, j), c in self.terms.items()}
 
     def as_qpoly_list(self, T):
         out = [dict() for _ in range(T + 1)]

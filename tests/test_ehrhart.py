@@ -6,9 +6,32 @@ from qehrhart import (LatticePolytope, QPoly, check_dilation, check_join,
                       check_product, classical_check, guess, iq, iq_interior,
                       reciprocity_check, series_E, series_Ebar,
                       simplex_numerators, weight_series_W, weight_series_Wbar)
-from qehrhart.ehrhart import NotASimplexError, verify_guess_expansion, weight_reciprocity_check
-from qehrhart.qseries import BivarPoly, RatFun2
+from qehrhart import ehrhart
+from qehrhart.corpora import CORPORA
+from qehrhart.ehrhart import (NotASimplexError, clear_memo, memo_stats,
+                              verify_guess_expansion, weight_reciprocity_check)
+from qehrhart.harmonics import hilbert_qpoly
+from qehrhart.qseries import BivarPoly, RatFun2, TQSeries
 from conftest import segment
+
+
+def hull_locus(P, m, interior=False):
+    """The dilate's lattice points in hull coordinates, by exact solves."""
+    locus = P.interior_lattice_points(m) if interior else P.lattice_points(m)
+    return [P.hull_coords(z, scale=m) for z in locus]
+
+
+def eliminated(P, m, interior=False):
+    """The graded count by elimination, bypassing every shortcut."""
+    pts = hull_locus(P, m, interior)
+    return hilbert_qpoly(pts) if pts else QPoly.zero()
+
+
+def corner_image(P):
+    """The vertices of Binv (P - v) in hull coordinates, for P's corner map."""
+    v, Binv = P.corner_map()
+    return [tuple(sum(r * (x - y) for r, x, y in zip(row, u, v)) for row in Binv)
+            for u in (P.hull_coords(w) for w in P.vertices)]
 
 
 class TestIq:
@@ -37,14 +60,138 @@ class TestIq:
         assert iq_interior(unit_triangle, 3) == QPoly([1])
 
     def test_antiblocking_path_matches_general(self, unit_square):
-        # force the general route by translating into negative coordinates:
-        # counts are translation-invariant
-        moved = unit_square.affine_image([[1, 0], [0, 1]], [-2, -2])
-        assert not moved.is_antiblocking()
-        for m in range(5):
-            assert iq(unit_square, m) == iq(moved, m)
-            if m:
-                assert iq_interior(unit_square, m) == iq_interior(moved, m)
+        assert unit_square.is_antiblocking()
+        for m in range(1, 5):
+            assert iq(unit_square, m) == eliminated(unit_square, m)
+            assert iq_interior(unit_square, m) == eliminated(unit_square, m, True)
+
+
+def distinct_corpus_polytopes():
+    seen, out = set(), []
+    for rows in CORPORA.values():
+        for row in rows:
+            P = row.polytope()
+            if frozenset(P.vertices) not in seen:
+                seen.add(frozenset(P.vertices))
+                out.append(P)
+    return out
+
+
+def det(A):
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * det([r[:j] + r[j + 1:] for r in A[1:]])
+               for j in range(len(A)))
+
+
+def random_unimodular(rng, n):
+    """A random integer matrix with entries in [-2, 2] and det +-1."""
+    while True:
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if det(A) in (1, -1):
+            return A
+
+
+class TestRoutes:
+    def test_shortcuts_match_elimination_on_corpus(self):
+        clear_memo()
+        shortcut = 0
+        for P in distinct_corpus_polytopes():
+            if not P.is_antiblocking() and P.corner_map() is None:
+                continue
+            shortcut += 1
+            for m in range(1, 5):
+                for interior, count in ((False, iq), (True, iq_interior)):
+                    if len(hull_locus(P, m, interior)) > 150:
+                        continue
+                    assert count(P, m) == eliminated(P, m, interior), (
+                        P.name, m, interior)
+        assert shortcut >= 40
+        assert memo_stats()["misses"] == 0   # no shortcut row reached BM
+
+    def test_corner_map_image_is_antiblocking(self):
+        for P in distinct_corpus_polytopes():
+            if P.corner_map() is not None:
+                assert LatticePolytope(corner_image(P)).is_antiblocking(), P.name
+
+    def test_seeded_unimodular_images(self):
+        rng = random.Random(6)
+        sources = [P for P in distinct_corpus_polytopes()
+                   if P.is_antiblocking() and P.dim == P.ambient_dim in (2, 3)]
+        sources += [LatticePolytope(v) for v in (
+            [(0, 0), (2, 0), (2, 1), (0, 2)],
+            [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],
+            [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0), (0, 0, 1)])]
+        assert len(sources) >= 10 and all(P.is_antiblocking() for P in sources)
+        for _ in range(12):
+            P = rng.choice(sources)
+            n = P.ambient_dim
+            A = random_unimodular(rng, n)
+            b = [rng.randint(-3, 3) for _ in range(n)]
+            Q = P.affine_image(A, b)
+            assert Q.corner_map() is not None, (P.name, A, b)
+            for m in range(1, 4 if n == 2 else 3):
+                assert iq(Q, m) == eliminated(Q, m) == iq(P, m), (P.name, A, b, m)
+                assert (iq_interior(Q, m) == eliminated(Q, m, True)
+                        == iq_interior(P, m)), (P.name, A, b, m)
+
+    def test_case_triangle_has_no_corner_map(self, case_triangle):
+        # every vertex's two primitive edge directions span index 3
+        assert case_triangle.corner_map() is None
+        assert not case_triangle.is_antiblocking()
+
+    def test_lower_dimensional_simplex_in_hull_coordinates(self):
+        simplex = LatticePolytope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert simplex.dim == 2 and not simplex.is_antiblocking()
+        assert simplex.corner_map() is not None
+        for m in range(1, 5):
+            assert iq(simplex, m) == eliminated(simplex, m)
+            assert iq_interior(simplex, m) == eliminated(simplex, m, True)
+
+
+class TestMemo:
+    def test_dilation_against_a_cleared_memo(self, case_triangle):
+        for P, d, T in ((case_triangle, 2, 4),
+                        (LatticePolytope([(1, 0), (0, 1)]), 3, 4)):
+            lhs = series_E(P.dilate(d), T)
+            clear_memo()
+            rhs = TQSeries([iq(P, d * m) for m in range(T + 1)], T)
+            assert lhs == rhs
+
+    def test_check_dilation_hits_the_locus_key(self, case_triangle):
+        clear_memo()
+        assert check_dilation(case_triangle, 2, 3)
+        stats = memo_stats()
+        assert stats["hits"] >= 3 and stats["misses"] >= 3
+
+    def test_cap_evicts_oldest_entries(self, case_triangle, monkeypatch):
+        monkeypatch.setattr(ehrhart, "MEMO_CAP", 4)
+        clear_memo()
+        first = [iq(case_triangle, m) for m in range(1, 6)]
+        assert len(ehrhart._memo) <= 4
+        assert [iq(case_triangle, m) for m in range(1, 6)] == first
+        assert memo_stats() == {"hits": 0, "misses": 10}
+
+    def test_counts_do_not_depend_on_history(self, case_triangle):
+        polys = [case_triangle, case_triangle.affine_image([[1, 0], [0, 1]], [-3, 1]),
+                 case_triangle.dilate(2), case_triangle.affine_image([[0, 1], [1, 0]], [0, 0]),
+                 LatticePolytope([(0, 0), (1, 0), (0, 1), (-2, 1)]), segment(-1, 2),
+                 LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])]
+        requests = [(i, m, interior) for i in range(len(polys))
+                    for m in range(1, 4) for interior in (False, True)]
+
+        def count(i, m, interior):
+            return (iq_interior if interior else iq)(polys[i], m)
+
+        fresh = {}
+        for req in requests:
+            clear_memo()
+            fresh[req] = count(*req)
+        rng = random.Random(11)
+        for _ in range(2):
+            rng.shuffle(requests)
+            for req in requests:
+                assert count(*req) == fresh[req], req
 
 
 class TestSeries:

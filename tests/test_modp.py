@@ -124,6 +124,22 @@ class TestHarmonicModP:
                 char0 = hilbert_qpoly(pts)
                 assert dims == [int(c) for c in char0.coeffs]
 
+    def test_canonical_under_translation_and_order(self):
+        # the free-column form is reduced echelon, so it depends only on the
+        # dual space, which translation and point order leave unchanged
+        rng = random.Random(4)
+        for p in (2, 3, 5, 7):
+            for _ in range(10):
+                size = rng.randint(1, min(7, p * p))
+                pts = set()
+                while len(pts) < size:
+                    pts.add((rng.randint(0, p - 1), rng.randint(0, p - 1)))
+                pts = sorted(pts)
+                want = [repr(b) for b in harmonic_basis_modp(pts, p)]
+                t = (rng.randint(-9, 9), rng.randint(-9, 9))
+                moved = [(x + t[0], y + t[1]) for x, y in pts]
+                rng.shuffle(moved)
+                assert [repr(b) for b in harmonic_basis_modp(moved, p)] == want
 
     def test_golden_dump(self):
         with open(os.path.join(HERE, "golden", "modp_bases.txt")) as fh:
