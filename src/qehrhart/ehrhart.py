@@ -18,8 +18,9 @@ that applies:
 - elimination: count-mode Buchberger–Möller on the locus.
 
 Counts are memoised per (vertices, m, interior) and per locus, in one
-bounded dict.  Every route checks that the count sums to the number of
-points, and the tests compare each shortcut with elimination.
+bounded dict that also holds ``halgebra.component``'s dual spaces.  Every
+route checks that the count sums to the number of points, and the tests
+compare each shortcut with elimination.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ class NotASimplexError(ValueError):
 
 
 MEMO_CAP = 4096   # entries; once full, the oldest entry goes first
-_memo = {}        # ("polytope", vertices, m, interior) or ("locus", ...) -> QPoly
+_memo = {}        # ("polytope", vertices, m, interior) or ("locus", ...) -> QPoly,
+                  # ("component", vertices, m) -> HComponent
 _locus_stats = {"hits": 0, "misses": 0}
 
 
 def clear_memo():
-    """Empty the count memo and reset its locus counters."""
+    """Empty the memo (counts and components) and reset its locus counters."""
     _memo.clear()
     _locus_stats.update(hits=0, misses=0)
 
@@ -52,10 +54,16 @@ def memo_stats():
     return dict(_locus_stats)
 
 
-def _remember(key, value):
-    if len(_memo) >= MEMO_CAP:
-        del _memo[next(iter(_memo))]
-    _memo[key] = value
+def memoised(key, compute):
+    """The memo entry under key; on a miss, compute() is stored there, and
+    the oldest entry goes once the memo holds ``MEMO_CAP`` entries."""
+    out = _memo.get(key)
+    if out is None:
+        out = compute()
+        if len(_memo) >= MEMO_CAP:
+            del _memo[next(iter(_memo))]
+        _memo[key] = out
+    return out
 
 
 def _locus_key(pts):
@@ -85,10 +93,11 @@ def _orthant_count(locus, dim, interior):
 
 
 def _count(P: LatticePolytope, m: int, interior: bool) -> QPoly:
-    key = ("polytope", P.vertices, m, interior)
-    out = _memo.get(key)
-    if out is not None:
-        return out
+    return memoised(("polytope", P.vertices, m, interior),
+                    lambda: _fresh_count(P, m, interior))
+
+
+def _fresh_count(P, m, interior):
     if P.dim == P.ambient_dim or P.is_antiblocking():
         # ambient coordinates: the hull ones, or the ones the weights need
         enum = P.interior_lattice_points if interior else P.lattice_points
@@ -109,16 +118,10 @@ def _count(P: LatticePolytope, m: int, interior: bool) -> QPoly:
                    for row in Binv) for u in pts], P.dim, interior)
     else:
         lkey = _locus_key(pts)
-        out = _memo.get(lkey)
-        if out is None:
-            _locus_stats["misses"] += 1
-            out = hilbert_qpoly(pts)
-            _remember(lkey, out)
-        else:
-            _locus_stats["hits"] += 1
+        _locus_stats["hits" if lkey in _memo else "misses"] += 1
+        out = memoised(lkey, lambda: hilbert_qpoly(pts))
     if out(1) != len(pts):
         raise InconsistencyError("graded count does not sum to the point count")
-    _remember(key, out)
     return out
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .halgebra import component
 from .harmonics import InconsistencyError, MultiPoly, coord_row, degree_echelon
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, _int_det
 from .qseries import QPoly
 
 
@@ -33,7 +33,7 @@ class GroupElement:
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix):
             raise ValueError("matrix must be square")
-        if abs(_det(self.matrix)) != 1:
+        if abs(_int_det(self.matrix)) != 1:
             raise ValueError("matrix must be invertible over the integers")
 
     @property
@@ -43,19 +43,6 @@ class GroupElement:
     def apply(self, z):
         return tuple(sum(self.matrix[i][j] * z[j] for j in range(self.n))
                      for i in range(self.n))
-
-
-def _det(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [tuple(row[:j] + row[j + 1:]) for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
 
 
 def stabilizer_check(P: LatticePolytope, g: GroupElement) -> bool:

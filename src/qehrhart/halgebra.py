@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ehrhart import iq
+from .ehrhart import iq, memoised
 from .harmonics import (HarmonicBasis, InconsistencyError, MultiPoly,
                         coord_row, degree_echelon, harmonic_basis,
                         span_products)
@@ -23,9 +23,6 @@ from .qseries import QPoly, TQSeries
 
 class NotInComponentError(ValueError):
     """A supplied generator does not lie in its declared component."""
-
-
-_component_cache = {}
 
 
 @dataclass
@@ -40,16 +37,15 @@ class HComponent:
 
 
 def component(P: LatticePolytope, m: int) -> HComponent:
-    key = (P.vertices, m)
-    if key in _component_cache:
-        return _component_cache[key]
-    locus = P.lattice_points(m)
-    hb = harmonic_basis(locus)
-    comp = HComponent(m, hb)
+    """The dual space of the m-th dilate, kept in the ``ehrhart`` memo."""
+    return memoised(("component", P.vertices, m), lambda: _component(P, m))
+
+
+def _component(P, m):
+    hb = harmonic_basis(P.lattice_points(m))
     if hb.hilbert() != iq(P, m):
         raise InconsistencyError("component dimensions disagree with the count")
-    _component_cache[key] = comp
-    return comp
+    return HComponent(m, hb)
 
 
 def product_span(P: LatticePolytope, m: int, mp: int):

@@ -1,7 +1,8 @@
 """Vanishing ideals of finite integer point sets, their associated graded
 ideals, and the dual (inverse-system) spaces under the differentiation
-pairing.  Everything runs over exact rationals with graded lex order,
-x1 > x2 > ... throughout.
+pairing.  Everything runs in exact arithmetic with graded lex order,
+x1 > x2 > ... throughout.  The pipeline from points to dual bases serves
+both fields: its argument ``p`` is 0 for Q, or a prime for F_p.
 
 The Gröbner basis of a vanishing ideal is computed by incremental echelon
 reduction of monomial evaluation vectors, processing monomials in graded
@@ -278,12 +279,13 @@ def _run_bm(points, p=0, track=False):
     return std, gens
 
 
-def buchberger_moeller(Z) -> GBasis:
-    """Reduced Gröbner basis of the vanishing ideal of a finite point set."""
+def buchberger_moeller(Z, p=0) -> GBasis:
+    """Reduced Gröbner basis of the vanishing ideal of a finite point set,
+    over Q (``p = 0``) or F_p (coefficients then integers in [0, p))."""
     points = list(Z)
     n = len(points[0])
-    std, gens = _run_bm(points, track=True)
-    gens = [MultiPoly(n, {m: Fraction(c, combo[lead]) for m, c in combo.items()})
+    std, gens = _run_bm(points, p, track=True)
+    gens = [MultiPoly(n, {m: Fraction(c, combo[lead]) for m, c in combo.items() if c})
             for lead, combo in gens]
     gens.sort(key=lambda g: grlex_key(g.leading_monomial()))
     return GBasis(n, gens, std)
@@ -312,8 +314,9 @@ def hilbert_qpoly(Z) -> QPoly:
     return QPoly([counts.get(d, 0) for d in range(top + 1)])
 
 
-def gr_ideal(Z) -> GBasis:
-    """Reduced Gröbner basis of the associated graded ideal.
+def gr_ideal(Z, p=0) -> GBasis:
+    """Reduced Gröbner basis of the associated graded ideal, over Q
+    (``p = 0``) or F_p.
 
     Top homogeneous components of the vanishing ideal's basis: leading
     terms are unchanged and tails stay supported on standard monomials, so
@@ -321,8 +324,8 @@ def gr_ideal(Z) -> GBasis:
     """
     points = list(Z)
     c = _center(points)
-    shifted = [tuple(a - b for a, b in zip(p, c)) for p in points]
-    gb = buchberger_moeller(shifted)
+    shifted = [tuple(a - b for a, b in zip(z, c)) for z in points]
+    gb = buchberger_moeller(shifted, p)
     taus = [g.top_component() for g in gb.generators]
     return GBasis(gb.n, taus, gb.standard_monomials)
 
@@ -345,17 +348,17 @@ def ideal_rows(gens, n, d):
     return rows
 
 
-def gr_component(Z, d, _gb=None):
-    """Basis of the degree-d piece of the associated graded ideal."""
-    gb = _gb if _gb is not None else gr_ideal(Z)
+def gr_component(Z, d, _gb=None, p=0):
+    """Basis of the degree-d piece of the associated graded ideal, over Q
+    (``p = 0``) or F_p."""
+    gb = _gb if _gb is not None else gr_ideal(Z, p)
     n = gb.n
     mons = list(_monomial_index(n, d))
     rows = ideal_rows([g.terms for g in gb.generators], n, d)
     if not rows:
         return [], mons
-    ech, piv = rref(Mat(rows))
-    basis = [MultiPoly(n, {mons[j]: ech.entries[i][j] for j in range(len(mons))})
-             for i in range(len(piv))]
+    ech, piv = rref(Mat(rows), p)
+    basis = [MultiPoly(n, dict(zip(mons, row))) for row in ech.entries[:len(piv)]]
     expected = len(mons) - sum(1 for m in gb.standard_monomials if sum(m) == d)
     if len(basis) != expected:
         raise InconsistencyError("graded component has unexpected dimension")
@@ -367,7 +370,8 @@ class HarmonicBasis:
     """Degreewise bases of the dual space of the associated graded ideal.
 
     Elements are polynomials in the dual (y) variables, normalized to
-    reduced echelon form against grlex-descending monomial coordinates.
+    reduced echelon form against grlex-descending monomial coordinates over
+    Q, and to the free-column form of ``modp.harmonic_basis_modp`` over F_p.
     """
 
     n: int
@@ -396,41 +400,42 @@ def _is_shifted(points):
     return True
 
 
-def harmonic_basis(Z) -> HarmonicBasis:
-    """Dual-space basis, degree by degree, for a finite point set.
+def harmonic_basis(Z, p=0) -> HarmonicBasis:
+    """Dual-space basis, degree by degree, for a finite point set, over Q
+    (``p = 0``) or F_p (the points then distinct in [0, p)).
 
     Down-closed loci in the nonnegative orthant short-circuit to their
     monomial basis {y^z}; the general route builds the graded ideal and
-    takes weighted nullspaces degree by degree.
+    takes nullspaces degree by degree, with pairing weights a! over Q and 1
+    over F_p, where y^b stands for the divided power y^(b).
     """
     points = list(Z)
     n = len(points[0])
+    if p and any(not 0 <= x < p for z in points for x in z):
+        raise ValueError("points over F_p need coordinates in [0, p)")
     if _is_shifted(points):
         top = max((sum(z) for z in points), default=0)
         by_degree = [[] for _ in range(top + 1)]
         for z in sorted(points, key=grlex_key, reverse=True):
             by_degree[sum(z)].append(MultiPoly(n, {z: 1}))
         return HarmonicBasis(n, by_degree)
-    gb = gr_ideal(points)
+    gb = gr_ideal(points, p)
     counts = gb.standard_degrees()
     top = max(counts)
     by_degree = []
     for d in range(top + 1):
-        comp, mons = gr_component(points, d, _gb=gb)
+        comp, mons = gr_component(points, d, _gb=gb, p=p)
         if not comp:
             by_degree.append([MultiPoly(n, {m: 1}) for m in mons])
             continue
-        weights = [_fact(m) for m in mons]
-        M = Mat([[g.terms.get(m, Fraction(0)) * w for m, w in zip(mons, weights)]
+        weights = [1 if p else _fact(m) for m in mons]
+        M = Mat([[g.terms.get(m, 0) * w for m, w in zip(mons, weights)]
                  for g in comp])
-        kernel = nullspace(M)
-        if not kernel:
-            by_degree.append([])
-            continue
-        ech, piv = rref(Mat(kernel))
-        basis = [MultiPoly(n, {mons[j]: ech.entries[i][j] for j in range(len(mons))})
-                 for i in range(len(piv))]
-        by_degree.append(basis)
+        kernel = nullspace(M, p)
+        if kernel and not p:
+            ech, piv = rref(Mat(kernel))
+            kernel = ech.entries[:len(piv)]
+        by_degree.append([MultiPoly(n, dict(zip(mons, v))) for v in kernel])
     hb = HarmonicBasis(n, by_degree)
     if hb.dimension() != len(points):
         raise InconsistencyError("dual space dimension differs from locus size")

@@ -32,16 +32,14 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.entries!r})"
 
-    def row(self, i):
-        return list(self.entries[i])
-
     def mul_vec(self, v):
         return [sum(a * x for a, x in zip(row, v)) for row in self.entries]
 
 
-def rref(M: Mat):
-    """Reduced row-echelon form.  Returns (echelon Mat, pivot column list)."""
-    piv, rows = Echelon.of(M.entries).rref()
+def rref(M: Mat, p=0):
+    """Reduced row-echelon form over Q (``p = 0``) or F_p.  Returns
+    (echelon Mat, pivot column list)."""
+    piv, rows = Echelon.of(M.entries, p).rref()
     for _ in range(M.rows - len(rows)):
         rows.append([Fraction(0)] * M.cols)
     return Mat(rows), piv
@@ -51,14 +49,15 @@ def rank(M: Mat) -> int:
     return Echelon.of(M.entries).dim
 
 
-def nullspace(M: Mat):
-    """Basis of the right kernel, one vector per free column.
+def nullspace(M: Mat, p=0):
+    """Basis of the right kernel over Q (``p = 0``) or F_p, one vector per
+    free column.
 
     The free column's coordinate is 1 in its basis vector and 0 in the
     others, so the result is the reduced echelon form of the kernel against
     the reversed column order, and canonical.
     """
-    return Echelon.of(M.entries).kernel(M.cols)
+    return Echelon.of(M.entries, p).kernel(M.cols)
 
 
 def solve(M: Mat, b):

@@ -1,6 +1,9 @@
 """Divided-power dual spaces over prime fields, the positive-characteristic
 closure test, and the sumset lower-bound function.
 
+The dual spaces come from ``harmonics.harmonic_basis``, which serves Q and
+F_p alike; this module reads its F_p bases as divided-power polynomials.
+
 Scalars are plain ints in [0, p); divided monomials y^(a) multiply through
 binomial coefficients reduced mod p (computed by Lucas's rule, so no big
 factorials appear).
@@ -8,9 +11,7 @@ factorials appear).
 
 from __future__ import annotations
 
-from .harmonics import (_run_bm, grlex_key, ideal_rows, monomials_of_degree,
-                        span_products)
-from .linalg import Echelon
+from .harmonics import grlex_key, harmonic_basis, span_products
 
 
 class PointCollisionError(ValueError):
@@ -73,10 +74,6 @@ class DividedPoly:
             out[m] = (out.get(m, 0) + c) % self.p
         return DividedPoly(self.p, self.n, out)
 
-    def scale(self, c):
-        return DividedPoly(self.p, self.n,
-                           {m: v * c for m, v in self.terms.items()})
-
     def __repr__(self):
         parts = []
         for m in sorted(self.terms, key=grlex_key, reverse=True):
@@ -113,11 +110,10 @@ def _reduce_points(Z, p):
 
 
 def harmonic_basis_modp(Z, p):
-    """Degreewise dual-space bases over F_p, as DividedPoly lists.
+    """Degreewise dual-space bases over F_p, as DividedPoly lists: the
+    bases of ``harmonics.harmonic_basis(points mod p, p)``.
 
-    Same pipeline as the characteristic-zero case, but with unit pairing
-    weights <x^a, y^(b)> = [a == b] and divided-power monomials.  Each
-    degree's basis is the free-column kernel basis: one element per free
+    Each degree's basis is in free-column form: one element per free
     monomial, with coordinate 1 there and 0 at every other free monomial.
     That is the reduced echelon form of the dual space against
     grlex-ascending columns, so it is canonical: equal dual spaces give
@@ -125,27 +121,8 @@ def harmonic_basis_modp(Z, p):
     grlex-descending columns instead, so an element's coordinate at its
     leading monomial is not its pivot here.
     """
-    points = _reduce_points(Z, p)
-    n = len(points[0])
-    std, gens = _run_bm(points, p, track=True)
-    # top components of the generators span the graded ideal degreewise
-    taus = [{m: c for m, c in combo.items() if c and sum(m) == sum(lead)}
-            for lead, combo in gens]
-    top = max(sum(m) for m in std)
-    counts = {}
-    for m in std:
-        counts[sum(m)] = counts.get(sum(m), 0) + 1
-    by_degree = []
-    for d in range(top + 1):
-        mons = monomials_of_degree(n, d)
-        rows = ideal_rows(taus, n, d)
-        basis = Echelon.of(rows, p).kernel(len(mons))
-        polys = [DividedPoly(p, n, {mons[j]: v[j] for j in range(len(mons))})
-                 for v in basis]
-        if len(polys) != counts.get(d, 0):
-            raise RuntimeError("dual dimension mismatch over F_p")
-        by_degree.append(polys)
-    return by_degree
+    hb = harmonic_basis(_reduce_points(Z, p), p)
+    return [[DividedPoly(p, hb.n, f.terms) for f in bs] for bs in hb.by_degree]
 
 
 def closure_check_modp(Z, Zp, p) -> bool:

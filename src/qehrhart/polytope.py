@@ -205,18 +205,9 @@ class LatticePolytope:
             self._bt = None
 
     def hull_coords(self, z, scale=1):
-        """Coordinates u with z = scale*base + sum u_k b_k, or None."""
-        n = self.ambient_dim
-        rhs = [z[i] - scale * self.base[i] for i in range(n)]
-        for c in self.hull_normals:
-            if sum(a * b for a, b in zip(c, rhs)) != 0:
-                return None
-        if self.dim == 0:
-            return () if not any(rhs) else None
-        u = solve(self._bt, rhs)
-        if u is None:
-            return None
-        if any(x.denominator != 1 for x in u):
+        """Integer coordinates u with z = scale*base + sum u_k b_k, or None."""
+        u = self.hull_coords_rational(z, scale)
+        if u is None or any(x.denominator != 1 for x in u):
             return None
         return tuple(int(x) for x in u)
 

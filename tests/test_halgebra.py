@@ -5,6 +5,8 @@ import pytest
 from qehrhart import (MultiPoly, Poset, chain_order_equality, component,
                       generation_check, iq, product_span, series_E,
                       subalgebra_hilbert)
+from qehrhart import ehrhart
+from qehrhart.ehrhart import clear_memo
 from qehrhart.halgebra import NotInComponentError, interior_ideal_check
 
 
@@ -33,6 +35,26 @@ class TestComponent:
     def test_grade_zero(self, case_triangle):
         c0 = component(case_triangle, 0)
         assert c0.dims() == [1]
+
+    def test_cleared_memo_recomputes(self, case_triangle):
+        first = component(case_triangle, 2)
+        assert component(case_triangle, 2) is first
+        clear_memo()
+        again = component(case_triangle, 2)
+        assert again is not first
+        assert again.basis.by_degree == first.basis.by_degree
+
+    def test_cap_evicts_components(self, case_triangle, monkeypatch):
+        monkeypatch.setattr(ehrhart, "MEMO_CAP", 3)
+        clear_memo()
+        first = component(case_triangle, 1)
+        for m in range(2, 5):
+            iq(case_triangle, m)
+        assert len(ehrhart._memo) <= 3
+        assert ("component", case_triangle.vertices, 1) not in ehrhart._memo
+        again = component(case_triangle, 1)
+        assert again is not first
+        assert again.basis.by_degree == first.basis.by_degree
 
     def test_antiblocking_monomials(self, unit_square):
         c2 = component(unit_square, 2)

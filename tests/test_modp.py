@@ -5,6 +5,8 @@ from itertools import product as iproduct
 import pytest
 
 from qehrhart import beta_bound, closure_check_modp, divided_mul, harmonic_basis_modp
+from qehrhart.harmonics import (buchberger_moeller, harmonic_basis, ideal_rows,
+                                monomials_of_degree)
 from qehrhart.linalg import Echelon
 from qehrhart.modp import DividedPoly, PointCollisionError, binom_mod
 
@@ -104,6 +106,11 @@ class TestHarmonicModP:
         with pytest.raises(PointCollisionError):
             harmonic_basis_modp([(0,), (2,)], 2)
 
+    def test_field_pipeline_needs_reduced_points(self):
+        # unreduced points would take the down-closed shortcut as they stand
+        with pytest.raises(ValueError):
+            harmonic_basis([(0,), (1,), (2,)], 2)
+
     def test_dimension_matches_size(self):
         rng = random.Random(9)
         for p in (3, 5, 7):
@@ -140,6 +147,35 @@ class TestHarmonicModP:
                 moved = [(x + t[0], y + t[1]) for x, y in pts]
                 rng.shuffle(moved)
                 assert [repr(b) for b in harmonic_basis_modp(moved, p)] == want
+
+    def test_against_the_kernel_of_the_ideal_rows(self):
+        # reference: top components of the vanishing ideal's basis, the
+        # ideal rows of each degree and their kernel, without centring
+        def reference(pts, p):
+            gb = buchberger_moeller(pts, p)
+            taus = [g.top_component().terms for g in gb.generators]
+            n = gb.n
+            out = []
+            for d in range(max(sum(m) for m in gb.standard_monomials) + 1):
+                mons = monomials_of_degree(n, d)
+                kernel = Echelon.of(ideal_rows(taus, n, d), p).kernel(len(mons))
+                out.append([DividedPoly(p, n, dict(zip(mons, v))) for v in kernel])
+            return out
+
+        rng = random.Random(12)
+        for p in (2, 3, 5, 7, 11):
+            for n in (1, 2, 3):
+                for _ in range(6):
+                    size = rng.randint(1, min(8, p ** n))
+                    pts = set()
+                    while len(pts) < size:
+                        pts.add(tuple(rng.randrange(p) for _ in range(n)))
+                    pts = sorted(pts)
+                    assert harmonic_basis_modp(pts, p) == reference(pts, p), (p, pts)
+                # a down-closed locus takes the monomial shortcut
+                box = [z for z in iproduct(range(min(p, 3)), repeat=n)
+                       if sum(z) <= 2]
+                assert harmonic_basis_modp(box, p) == reference(box, p), (p, box)
 
     def test_golden_dump(self):
         with open(os.path.join(HERE, "golden", "modp_bases.txt")) as fh:

@@ -60,6 +60,21 @@ class TestEnumeration:
         # relative interior of a segment in the plane
         assert d1.interior_lattice_points(3).points == ((1, 2), (2, 1))
 
+    def test_hull_coords(self):
+        # integer hull coordinates round-trip; points off the hull and a
+        # dim-0 polytope's other points have none
+        tri = LatticePolytope([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        for z in [(2, -1, 0), (0, 0, 1), (3, 3, -5)]:
+            u = tri.hull_coords(z)
+            assert u == tuple(tri.hull_coords_rational(z))
+            assert tri.from_hull_coords(u) == z
+        assert tri.hull_coords((0, 0, 0)) is None
+        assert tri.hull_coords((2, 2, -1), scale=3) is not None
+        assert tri.hull_coords((2, 2, -1), scale=2) is None
+        pt = LatticePolytope([(2, 5)])
+        assert pt.hull_coords((4, 10), scale=2) == ()
+        assert pt.hull_coords((4, 11), scale=2) is None
+
     def test_point_polytope(self):
         pt = LatticePolytope([(2, 5)])
         assert pt.dim == 0
