@@ -230,14 +230,16 @@ def _center(points):
                  for i in range(n))
 
 
-def _run_bm(points, p=0, track=False):
+def _run_bm(points, p=0, track=False, graded=False):
     """Core elimination over Q (``p = 0``) or F_p: (standard monomials, gens).
 
     Monomial evaluation vectors are added to one ``Echelon`` in graded lex
     order.  With ``track`` each row carries its combination of monomials, and
     every dependent monomial yields a generator as (leading monomial,
     integer combination); without it the loop stops at the N-th standard
-    monomial and ``gens`` is empty.
+    monomial and ``gens`` is empty.  With ``graded`` as well, a combination
+    keeps only the monomials of its row's degree, so each generator comes
+    out as its top homogeneous component.
     """
     n = len(points[0]) if points else 0
     N = len(points)
@@ -249,10 +251,18 @@ def _run_bm(points, p=0, track=False):
     std = []
     gens = []
     lead_terms = []
+    deg = 0
     while heap:
-        _, mono = heapq.heappop(heap)
+        (d, _), mono = heapq.heappop(heap)
         if any(mono_divides(lt, mono) for lt in lead_terms):
             continue
+        if graded and d > deg:
+            # Monomials come in degree order, and the degree-d part of a
+            # combination involves only degree-d pivot rows: the lower
+            # ones' combinations can be dropped.
+            deg = d
+            for *_, pcombo in ech.pivots:
+                pcombo.clear()
         vec = []
         for z in points:
             val = 1
@@ -279,12 +289,18 @@ def _run_bm(points, p=0, track=False):
     return std, gens
 
 
-def buchberger_moeller(Z, p=0) -> GBasis:
+def buchberger_moeller(Z, p=0, graded=False) -> GBasis:
     """Reduced Gröbner basis of the vanishing ideal of a finite point set,
-    over Q (``p = 0``) or F_p (coefficients then integers in [0, p))."""
+    over Q (``p = 0``) or F_p (coefficients then integers in [0, p)).
+
+    With ``graded`` each generator is replaced by its top homogeneous
+    component, which is computed directly: the elimination tracks only the
+    monomials of each row's own degree.  The result equals taking
+    ``top_component()`` of every generator of the full basis.
+    """
     points = list(Z)
     n = len(points[0])
-    std, gens = _run_bm(points, p, track=True)
+    std, gens = _run_bm(points, p, track=True, graded=graded)
     gens = [MultiPoly(n, {m: Fraction(c, combo[lead]) for m, c in combo.items() if c})
             for lead, combo in gens]
     gens.sort(key=lambda g: grlex_key(g.leading_monomial()))
@@ -318,16 +334,15 @@ def gr_ideal(Z, p=0) -> GBasis:
     """Reduced Gröbner basis of the associated graded ideal, over Q
     (``p = 0``) or F_p.
 
-    Top homogeneous components of the vanishing ideal's basis: leading
+    Top homogeneous components of the vanishing ideal's basis, from
+    ``buchberger_moeller(..., graded=True)`` on the centred points: leading
     terms are unchanged and tails stay supported on standard monomials, so
     the result is already reduced.
     """
     points = list(Z)
     c = _center(points)
     shifted = [tuple(a - b for a, b in zip(z, c)) for z in points]
-    gb = buchberger_moeller(shifted, p)
-    taus = [g.top_component() for g in gb.generators]
-    return GBasis(gb.n, taus, gb.standard_monomials)
+    return buchberger_moeller(shifted, p, graded=True)
 
 
 def ideal_rows(gens, n, d):

@@ -3,8 +3,9 @@
 All entries are ``fractions.Fraction`` (or ints, which are upgraded on the
 fly).  Every eliminator in the package runs on ``Echelon``, one incremental
 row echelon over Q or F_p.  Over Q it is fraction-free on integer-rescaled
-rows, so intermediate entries stay integral; ``rref`` normalizes pivots to
-1 with exact division only in its final pass.
+rows, with one content strip per reduced row, so intermediate entries stay
+integral; ``rref`` normalizes pivots to 1 with exact division only in its
+final pass.
 """
 
 from __future__ import annotations
@@ -77,12 +78,17 @@ def solve(M: Mat, b):
 class Echelon:
     """Incremental row echelon over Q (``p = 0``) or F_p (``p`` prime).
 
-    Over Q rows are kept as primitive integer vectors: a row is combined
-    with a pivot row as d*r - c*pivot and stripped of its content after
-    each step and when it is pushed, so no fraction appears.  Over F_p entries live in [0, p) and
-    pivot rows are normalised to a leading 1.  A row may carry a
-    combination dict (key -> coefficient) that is reduced together with it,
-    so a dependent row's combination records the relation that killed it.
+    Over Q pivot rows are kept as primitive integer vectors, and no
+    fraction appears.  ``reduce`` combines a row with a pivot row whose
+    entry is d, where the row has c, as (d/g)*r - (c/g)*pivot with
+    g = gcd(c, d), and strips the content of the row and its combination
+    once, after the last step; ``push`` strips too.  Each intermediate row
+    is a positive multiple of the one that stripping after every step
+    would give, so the stripped results are the same.  Over F_p entries
+    live in [0, p) and pivot rows are normalised to a leading 1.  A row may
+    carry a combination dict (key -> coefficient) that is reduced together
+    with it, so a dependent row's combination records the relation that
+    killed it.
     """
 
     __slots__ = ("p", "pivots")
@@ -107,10 +113,10 @@ class Echelon:
         """Residual of an integer row v against the span, and its reduced
         combination."""
         p = self.p
+        if combo is not None:
+            combo = dict(combo)
         if p:
             r = [x % p for x in v]
-            if combo is not None:
-                combo = dict(combo)
             for pc, prow, pcombo in self.pivots:
                 c = r[pc]
                 if c:
@@ -120,16 +126,25 @@ class Echelon:
                             combo[m] = (combo.get(m, 0) - c * x) % p
             return r, combo
         r = list(v)
+        stepped = False
         for pc, prow, pcombo in self.pivots:
             c = r[pc]
             if not c:
                 continue
-            d = prow[pc]
-            r = [d * a - c * b for a, b in zip(r, prow)]
+            stepped = True
+            g = gcd(c, prow[pc])
+            c //= g
+            d = prow[pc] // g
+            if d == 1:
+                r = [a - c * b for a, b in zip(r, prow)]
+            else:
+                r = [d * a - c * b for a, b in zip(r, prow)]
+                if combo is not None:
+                    combo = {m: d * x for m, x in combo.items()}
             if combo is not None:
-                combo = {m: d * x for m, x in combo.items()}
                 for m, x in pcombo.items():
                     combo[m] = combo.get(m, 0) - c * x
+        if stepped:
             r, combo = _strip(r, combo)
         return r, combo
 

@@ -58,6 +58,27 @@ class TestBuchbergerMoeller:
             assert tail <= std
 
 
+def assert_graded_is_top(Z, p=0):
+    full = buchberger_moeller(Z, p)
+    graded = buchberger_moeller(Z, p, graded=True)
+    assert graded.generators == [g.top_component() for g in full.generators]
+    assert graded.standard_monomials == full.standard_monomials
+
+
+class TestGradedBuchbergerMoeller:
+    def test_random_loci(self):
+        rng = random.Random(10)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            Z = sorted({tuple(rng.randint(-4, 4) for _ in range(n))
+                        for _ in range(rng.randint(1, 12))})
+            assert_graded_is_top(Z)
+
+    def test_case_triangle_dilates(self, case_triangle):
+        for m in range(1, 5):
+            assert_graded_is_top(list(case_triangle.lattice_points(m)))
+
+
 class TestGrIdeal:
     def test_segment(self):
         gr = gr_ideal([(k,) for k in range(3)])

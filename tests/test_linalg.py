@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qehrhart.linalg import Echelon, Mat, nullspace, rank, rref, solve
@@ -89,3 +91,58 @@ def test_rref_preserves_row_space(rows):
 @settings(max_examples=60, deadline=None)
 def test_exact_arithmetic_round_trip(a, b):
     assert (a + b) - b == a
+
+
+def strip_each_step_reduce(ech, v, combo=None):
+    """Reference elimination: over Q combine as d*r - c*pivot and strip the
+    content of the row and its combination after every step."""
+    p = ech.p
+    r = [x % p for x in v] if p else list(v)
+    combo = None if combo is None else dict(combo)
+    for pc, prow, pcombo in ech.pivots:
+        c = r[pc]
+        if not c:
+            continue
+        d = 1 if p else prow[pc]
+        r = [d * a - c * b for a, b in zip(r, prow)]
+        if combo is not None:
+            combo = {m: d * x for m, x in combo.items()}
+            for m, x in pcombo.items():
+                combo[m] = combo.get(m, 0) - c * x
+        if p:
+            r = [a % p for a in r]
+            if combo is not None:
+                combo = {m: x % p for m, x in combo.items()}
+            continue
+        g = 0
+        for a in r + ([] if combo is None else list(combo.values())):
+            g = gcd(g, a)
+        if g > 1:
+            r = [a // g for a in r]
+            if combo is not None:
+                combo = {m: x // g for m, x in combo.items()}
+    return r, combo
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("track", [False, True])
+def test_reduce_matches_strip_each_step(p, track):
+    rng = random.Random(31 + p)
+    for _ in range(80):
+        k = rng.randint(1, 6)
+        ech, ref = Echelon(p), Echelon(p)
+        rows = []
+        for i in range(rng.randint(1, 8)):
+            if rows and rng.random() < 0.3:
+                # a combination of earlier rows: dependent
+                v = [sum(rng.randint(-3, 3) * r[j] for r in rows)
+                     for j in range(k)]
+            else:
+                v = [rng.randint(-9, 9) for _ in range(k)]
+            rows.append(v)
+            combo = {i: 1} if track else None
+            got = ech.reduce(v, combo)
+            want = strip_each_step_reduce(ref, v, combo)
+            assert got == want
+            assert ech.push(*got) == ref.push(*want)
+            assert ech.pivots == ref.pivots

@@ -182,6 +182,19 @@ class TestHarmonicModP:
             assert fh.read().splitlines() == golden_modp_lines()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_graded_buchberger_moeller_is_top(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        Z = sorted({tuple(rng.randrange(p) for _ in range(n))
+                    for _ in range(rng.randint(1, min(p ** n, 12)))})
+        full = buchberger_moeller(Z, p)
+        graded = buchberger_moeller(Z, p, graded=True)
+        assert graded.generators == [g.top_component() for g in full.generators]
+        assert graded.standard_monomials == full.standard_monomials
+
+
 class TestEchelonModP:
     @pytest.mark.parametrize("p", [2, 3])
     def test_exhaustive_span(self, p):
