@@ -5,15 +5,18 @@ x1 > x2 > ... throughout.  The pipeline from points to dual bases serves
 both fields: its argument ``p`` is 0 for Q, or a prime for F_p.
 
 The Gröbner basis of a vanishing ideal is computed by incremental echelon
-reduction of monomial evaluation vectors, processing monomials in graded
-lex order until the standard monomials span all point evaluations.  A
-classical S-polynomial algorithm over an independent generating set is
-provided as a small-instance cross-check.
+reduction of evaluation vectors, processing monomials in graded lex order
+until the standard monomials span all point evaluations.  Each monomial
+x^a is represented by its Newton monomial over interpolation nodes taken
+from the points, which spans the same spaces in that order and evaluates
+to sparse, nearly triangular rows.  A classical S-polynomial algorithm over
+an independent generating set is provided as a small-instance cross-check.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -224,29 +227,55 @@ class GBasis:
         return counts
 
 
-def _center(points):
-    n = len(points[0]) if points else 0
-    return tuple((min(p[i] for p in points) + max(p[i] for p in points)) // 2
-                 for i in range(n))
+def _nodes(points):
+    """Interpolation nodes of each axis: the distinct values of that
+    coordinate, most frequent first, ties by value."""
+    out = []
+    for col in zip(*points):
+        freq = Counter(col)
+        out.append(sorted(freq, key=lambda x: (-freq[x], x)))
+    return out
 
 
 def _run_bm(points, p=0, track=False, graded=False):
-    """Core elimination over Q (``p = 0``) or F_p: (standard monomials, gens).
+    """Core elimination over Q (``p = 0``) or F_p: (standard monomials,
+    gens, nodes).
 
-    Monomial evaluation vectors are added to one ``Echelon`` in graded lex
-    order.  With ``track`` each row carries its combination of monomials, and
-    every dependent monomial yields a generator as (leading monomial,
-    integer combination); without it the loop stops at the N-th standard
-    monomial and ``gens`` is empty.  With ``graded`` as well, a combination
-    keeps only the monomials of its row's degree, so each generator comes
-    out as its top homogeneous component.
+    Monomials a come in graded lex order.  The row of a is the Newton
+    monomial N_a = prod_i prod_{j < a_i} (x_i - t_ij) at the points, with
+    t_i0, t_i1, ... the ``_nodes`` of axis i: the row of a's parent (the
+    standard monomial that queued it) times one factor column
+    x_i - t_i(a_i - 1).  With the points sorted by the graded lex order of
+    their node ranks, N_a vanishes wherever a rank is below a, so rows are
+    sparse and nearly triangular.  Results equal those of rows x^a:
+
+    - N_a is x^a plus an integer combination of its proper divisors, for
+      any nodes, so also mod p.  The monomials below a are closed under
+      division, so the echelon spans the same space at every step and the
+      same monomials are standard.
+    - A dependent a gives N_a - sum mu_e N_e in I(Z), over standard e < a.
+      Expanded, it is supported on a and standard monomials, so it is the
+      reduced generator, with top component x^a - sum_{|e|=|a|} mu_e x^e.
+    - Point and node order change only fill-in.
+
+    With ``track`` each row carries its combination of Newton monomials, and
+    every dependent monomial yields (leading monomial, integer combination);
+    without it the loop stops at the N-th standard monomial and ``gens`` is
+    empty.  With ``graded`` as well, a combination keeps only the monomials
+    of its row's degree.
     """
     n = len(points[0]) if points else 0
     N = len(points)
     if N == 0:
         raise ValueError("empty point set")
-    heap = [(grlex_key((0,) * n), (0,) * n)]
-    seen = {(0,) * n}
+    nodes = _nodes(points)
+    ranks = [{t: j for j, t in enumerate(ts)} for ts in nodes]
+    points = sorted(points, key=lambda z: grlex_key(
+        tuple(r[x] for r, x in zip(ranks, z))))
+    cols = list(zip(*points))
+    one = (0,) * n
+    heap = [(grlex_key(one), one)]
+    parent = {one: None}  # queued monomial -> (axis, its parent's row)
     ech = Echelon(p)
     std = []
     gens = []
@@ -254,6 +283,9 @@ def _run_bm(points, p=0, track=False, graded=False):
     deg = 0
     while heap:
         (d, _), mono = heapq.heappop(heap)
+        # every monomial of degree d is queued before the first one is
+        # popped, so the entry is no longer needed as a seen mark
+        pushed_by = parent.pop(mono)
         if any(mono_divides(lt, mono) for lt in lead_terms):
             continue
         if graded and d > deg:
@@ -263,14 +295,14 @@ def _run_bm(points, p=0, track=False, graded=False):
             deg = d
             for *_, pcombo in ech.pivots:
                 pcombo.clear()
-        vec = []
-        for z in points:
-            val = 1
-            for x, e in zip(z, mono):
-                if e:
-                    val *= x ** e
-            vec.append(val)
-        vec, combo = ech.reduce(vec, {mono: 1} if track else None)
+        if pushed_by is None:
+            row = [1] * N
+        else:
+            i, prow = pushed_by
+            # in range: with a_i - 1 past the nodes the parent's row is 0
+            t = nodes[i][mono[i] - 1]
+            row = [a * (x - t) for a, x in zip(prow, cols[i])]
+        vec, combo = ech.reduce(row, {mono: 1} if track else None)
         if not ech.push(vec, combo):
             lead_terms.append(mono)
             if track:
@@ -281,26 +313,50 @@ def _run_bm(points, p=0, track=False, graded=False):
             break
         for i in range(n):
             suc = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            if suc not in seen:
-                seen.add(suc)
+            if suc not in parent:
+                parent[suc] = (i, row)
                 heapq.heappush(heap, (grlex_key(suc), suc))
     if len(std) != N:
         raise InconsistencyError("standard monomial count differs from locus size")
-    return std, gens
+    return std, gens, nodes
+
+
+def _newton_to_monomials(combo, nodes, p):
+    """Expand a combination of Newton monomials into monomials (mod p if
+    ``p``)."""
+    out = {}
+    for a, c in combo.items():
+        # N_a = prod_i P_i(x_i), where P_i = prod_{j < a_i} (x_i - t_ij)
+        terms = {(): c}
+        for e, ts in zip(a, nodes):
+            poly = [1]  # coefficients of P_i, by degree
+            for t in ts[:e]:
+                poly = [u - t * v for u, v in zip([0] + poly, poly + [0])]
+            terms = {m + (k,): x * y for m, x in terms.items()
+                     for k, y in enumerate(poly) if y}
+        for m, x in terms.items():
+            out[m] = out.get(m, 0) + x
+    if p:
+        out = {m: x % p for m, x in out.items()}
+    return out
 
 
 def buchberger_moeller(Z, p=0, graded=False) -> GBasis:
     """Reduced Gröbner basis of the vanishing ideal of a finite point set,
     over Q (``p = 0``) or F_p (coefficients then integers in [0, p)).
 
-    With ``graded`` each generator is replaced by its top homogeneous
-    component, which is computed directly: the elimination tracks only the
-    monomials of each row's own degree.  The result equals taking
-    ``top_component()`` of every generator of the full basis.
+    ``_run_bm`` yields each generator as a combination of Newton monomials,
+    expanded here into monomials.  With ``graded`` each generator is
+    replaced by its top homogeneous component, whose coefficients are the
+    combination's own-degree part, the only part tracked.  The result
+    equals taking ``top_component()`` of every generator of the full basis.
     """
     points = list(Z)
     n = len(points[0])
-    std, gens = _run_bm(points, p, track=True, graded=graded)
+    std, gens, nodes = _run_bm(points, p, track=True, graded=graded)
+    if not graded:
+        gens = [(lead, _newton_to_monomials(combo, nodes, p))
+                for lead, combo in gens]
     gens = [MultiPoly(n, {m: Fraction(c, combo[lead]) for m, c in combo.items() if c})
             for lead, combo in gens]
     gens.sort(key=lambda g: grlex_key(g.leading_monomial()))
@@ -308,15 +364,10 @@ def buchberger_moeller(Z, p=0, graded=False) -> GBasis:
 
 
 def standard_monomial_degrees(Z):
-    """Degree counts of the standard monomials, computed after centering.
-
-    Translation does not change the associated graded ideal, so this is the
-    graded dimension count of the quotient by it (and of its dual space).
-    """
-    points = list(Z)
-    c = _center(points)
-    shifted = [tuple(a - b for a, b in zip(p, c)) for p in points]
-    std, _ = _run_bm(shifted)
+    """Degree counts of the standard monomials: the graded dimension count
+    of the quotient by the associated graded ideal (and of its dual
+    space)."""
+    std, _, _ = _run_bm(list(Z))
     counts = {}
     for m in std:
         counts[sum(m)] = counts.get(sum(m), 0) + 1
@@ -335,14 +386,11 @@ def gr_ideal(Z, p=0) -> GBasis:
     (``p = 0``) or F_p.
 
     Top homogeneous components of the vanishing ideal's basis, from
-    ``buchberger_moeller(..., graded=True)`` on the centred points: leading
-    terms are unchanged and tails stay supported on standard monomials, so
-    the result is already reduced.
+    ``buchberger_moeller(..., graded=True)``: leading terms are unchanged
+    and tails stay supported on standard monomials, so the result is already
+    reduced.
     """
-    points = list(Z)
-    c = _center(points)
-    shifted = [tuple(a - b for a, b in zip(z, c)) for z in points]
-    return buchberger_moeller(shifted, p, graded=True)
+    return buchberger_moeller(list(Z), p, graded=True)
 
 
 def ideal_rows(gens, n, d):

@@ -1,6 +1,8 @@
+import heapq
 import os
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,9 +10,10 @@ from qehrhart import (MultiPoly, PointLocus, apolarity_pair,
                       buchberger, buchberger_moeller, closure_check,
                       gr_component, gr_ideal, harmonic_basis,
                       product_gens_oracle)
-from qehrhart.harmonics import (TooLargeError, dump_poly, grlex_key,
-                                hilbert_qpoly, monomials_of_degree,
+from qehrhart.harmonics import (InconsistencyError, TooLargeError, dump_poly,
+                                grlex_key, hilbert_qpoly, monomials_of_degree,
                                 span_products)
+from qehrhart.linalg import Echelon
 from qehrhart.qseries import QPoly
 
 HERE = os.path.dirname(__file__)
@@ -77,6 +80,115 @@ class TestGradedBuchbergerMoeller:
     def test_case_triangle_dilates(self, case_triangle):
         for m in range(1, 5):
             assert_graded_is_top(list(case_triangle.lattice_points(m)))
+
+
+def monomial_bm(points, p=0, graded=False):
+    """Reference Buchberger-Moeller on monomial evaluation rows x^a at the
+    points as given: (standard monomials, generators), the generators
+    normalised as in ``buchberger_moeller``."""
+    n = len(points[0])
+    one = (0,) * n
+    heap = [(grlex_key(one), one)]
+    seen = {one}
+    ech = Echelon(p)
+    std, gens, lead_terms = [], [], []
+    deg = 0
+    while heap:
+        (d, _), mono = heapq.heappop(heap)
+        if any(all(x <= y for x, y in zip(lt, mono)) for lt in lead_terms):
+            continue
+        if graded and d > deg:
+            deg = d
+            for *_, pcombo in ech.pivots:
+                pcombo.clear()
+        vec = [prod(x ** e for x, e in zip(z, mono)) for z in points]
+        vec, combo = ech.reduce(vec, {mono: 1})
+        if not ech.push(vec, combo):
+            lead_terms.append(mono)
+            gens.append(MultiPoly(n, {m: Fraction(c, combo[mono])
+                                      for m, c in combo.items() if c}))
+            continue
+        std.append(mono)
+        for i in range(n):
+            suc = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            if suc not in seen:
+                seen.add(suc)
+                heapq.heappush(heap, (grlex_key(suc), suc))
+    if len(std) != len(points):
+        raise InconsistencyError("standard monomial count differs from locus size")
+    gens.sort(key=lambda g: grlex_key(g.leading_monomial()))
+    return std, gens
+
+
+def assert_matches_monomial_rows(Z, p=0):
+    """Newton-row elimination against ``monomial_bm``: standard monomials,
+    ungraded and graded generators, ``gr_ideal`` and, over Q, the count."""
+    std, gens = monomial_bm(Z, p)
+    _, tops = monomial_bm(Z, p, graded=True)
+    for graded, want in ((False, gens), (True, tops)):
+        gb = buchberger_moeller(Z, p, graded=graded)
+        assert gb.standard_monomials == std, (Z, p, graded)
+        assert gb.generators == want, (Z, p, graded)
+    assert gr_ideal(Z, p).generators == tops, (Z, p)
+    if not p:
+        degrees = [sum(m) for m in std]
+        assert hilbert_qpoly(Z).coeffs == [degrees.count(d) for d in
+                                           range(max(degrees) + 1)]
+
+
+# a constant coordinate, and collinear loci
+SPECIAL_LOCI = ([(x, 3) for x in range(4)],
+                [(1, y, x) for x in range(4) for y in range(2)],
+                [(k, 2 * k) for k in range(4)],
+                [(k, 2 * k, k) for k in range(4)],
+                [(2 * k, k) for k in range(4)])
+
+
+class TestNewtonRows:
+    def test_random_loci(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            n = rng.randint(1, 3)
+            Z = sorted({tuple(rng.randint(-4, 4) for _ in range(n))
+                        for _ in range(rng.randint(1, 14))})
+            rng.shuffle(Z)
+            assert_matches_monomial_rows(Z)
+
+    def test_constant_coordinate_and_collinear(self):
+        for Z in SPECIAL_LOCI:
+            assert_matches_monomial_rows(Z)
+            assert_matches_monomial_rows([tuple(-x for x in z) for z in Z])
+
+    def test_case_triangle_dilates(self, case_triangle):
+        for m in range(1, 9):
+            assert_matches_monomial_rows(list(case_triangle.lattice_points(m)))
+
+    def test_counts_invariant_under_translation_and_reflection(self, case_triangle):
+        rng = random.Random(12)
+        loci = [list(case_triangle.lattice_points(m)) for m in (3, 5)]
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            loci.append(sorted({tuple(rng.randint(-3, 3) for _ in range(n))
+                                for _ in range(rng.randint(1, 12))}))
+        for Z in loci:
+            want = hilbert_qpoly(Z)
+            n = len(Z[0])
+            t = [rng.randint(-7, 7) for _ in range(n)]
+            i = rng.randrange(n)
+            moved = [tuple(x + s for x, s in zip(z, t)) for z in Z]
+            flipped = [z[:i] + (-z[i],) + z[i + 1:] for z in Z]
+            assert hilbert_qpoly(moved) == want, Z
+            assert hilbert_qpoly(flipped) == want, Z
+
+    def test_large_case_triangle_dilates(self, case_triangle):
+        # pinned from monomial-row elimination: 1, 2, ..., 3m/2, then
+        # 3m/2, 3m/2 - 3, ..., 3, then 1
+        for m, N in ((16, 409), (24, 901)):
+            Z = list(case_triangle.lattice_points(m))
+            assert len(Z) == N
+            top = 3 * m // 2
+            want = list(range(1, top + 1)) + list(range(top, 0, -3)) + [1]
+            assert hilbert_qpoly(Z).coeffs == want
 
 
 class TestGrIdeal:

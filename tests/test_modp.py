@@ -5,10 +5,11 @@ from itertools import product as iproduct
 import pytest
 
 from qehrhart import beta_bound, closure_check_modp, divided_mul, harmonic_basis_modp
-from qehrhart.harmonics import (buchberger_moeller, harmonic_basis, ideal_rows,
-                                monomials_of_degree)
+from qehrhart.harmonics import (InconsistencyError, buchberger_moeller, gr_ideal,
+                                harmonic_basis, ideal_rows, monomials_of_degree)
 from qehrhart.linalg import Echelon
 from qehrhart.modp import DividedPoly, PointCollisionError, binom_mod
+from test_harmonics import assert_matches_monomial_rows, monomial_bm
 
 HERE = os.path.dirname(__file__)
 
@@ -193,6 +194,41 @@ def test_graded_buchberger_moeller_is_top(p):
         graded = buchberger_moeller(Z, p, graded=True)
         assert graded.generators == [g.top_component() for g in full.generators]
         assert graded.standard_monomials == full.standard_monomials
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+class TestNewtonRowsModP:
+    def test_random_loci(self, p):
+        rng = random.Random(20 + p)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            Z = sorted({tuple(rng.randrange(p) for _ in range(n))
+                        for _ in range(rng.randint(1, min(p ** n, 12)))})
+            rng.shuffle(Z)
+            assert_matches_monomial_rows(Z, p)
+
+    def test_constant_coordinate_and_collinear(self, p):
+        for Z in ([(x, 1) for x in range(p)],
+                  [(1, y, x) for x in range(p) for y in range(2)],
+                  [(k, 2 * k % p) for k in range(p)],
+                  [(k, 2 * k % p, k) for k in range(p)],
+                  [(2 * k % p, k) for k in range(p)]):
+            assert_matches_monomial_rows(Z, p)
+
+    def test_loci_colliding_mod_p(self, p):
+        rng = random.Random(30 + p)
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            Z = {tuple(rng.randrange(p) for _ in range(n))
+                 for _ in range(rng.randint(1, min(p ** n, 8)))}
+            z = rng.choice(sorted(Z))
+            Z = sorted(Z | {tuple(x + p * rng.randint(-1, 1) for x in z[:-1])
+                            + (z[-1] + p,)})
+            for run in (monomial_bm, buchberger_moeller):
+                with pytest.raises(InconsistencyError):
+                    run(Z, p)
+            with pytest.raises(InconsistencyError):
+                gr_ideal(Z, p)
 
 
 class TestEchelonModP:
