@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 comparison/property failure, 2 input parse error,
+Exit codes: 0 success, 1 comparison or property failure, 2 input error
+(unreadable or malformed file, unknown flag, out-of-range value),
 3 internal inconsistency.
 """
 
@@ -10,12 +11,13 @@ import argparse
 import json
 import random
 import sys
+from math import isqrt
 from multiprocessing import Pool
 
 from . import corpora, jsonio
 from .ehrhart import (check_dilation, check_join, check_product,
                       classical_check, compute_record, iq, series_E)
-from .equivariant import GroupElement, graded_character
+from .equivariant import GroupElement, NotASymmetryError, graded_character
 from .harmonics import InconsistencyError, closure_check
 from .modp import beta_bound, closure_check_modp
 from .polytope import LatticePolytope, PointLocus
@@ -33,12 +35,16 @@ def _load_json(path):
         sys.exit(2)
 
 
+def _bad(what, exc):
+    print(f"error: bad {what} file: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_polytope(path):
     try:
         return jsonio.polytope_in(_load_json(path))
     except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: bad polytope file: {exc}", file=sys.stderr)
-        sys.exit(2)
+        sys.exit(_bad("polytope", exc))
 
 
 def _emit(obj, out):
@@ -50,15 +56,12 @@ def _emit(obj, out):
         print(text)
 
 
-def _bounds_from_args(args):
-    b = {}
-    if args.den_b_max is not None:
-        b["b_max"] = args.den_b_max
-    if args.den_a_max is not None:
-        b["a_max"] = args.den_a_max
-    if args.nu_max is not None:
-        b["nu_max"] = args.nu_max
-    return b or None
+def _map(fn, items, jobs):
+    """[fn(x) for x in items], in a pool of ``jobs`` processes if jobs > 1."""
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            return pool.map(fn, items)
+    return [fn(x) for x in items]
 
 
 def _cached_record(args, P, config, **kwargs):
@@ -87,11 +90,17 @@ def cmd_compute(args, interior_only=False):
     return 0
 
 
+def cmd_interior(args):
+    return cmd_compute(args, interior_only=True)
+
+
 def cmd_guess(args):
     P = _load_polytope(args.polytope)
-    bounds = _bounds_from_args(args)
-    rec = _cached_record(args, P, {"command": "guess", "bounds": bounds or {}},
-                         with_guess=True, bounds=bounds)
+    bounds = {k: v for k, v in (("b_max", args.den_b_max),
+                                ("a_max", args.den_a_max),
+                                ("nu_max", args.nu_max)) if v is not None}
+    rec = _cached_record(args, P, {"command": "guess", "bounds": bounds},
+                         with_guess=True, bounds=bounds or None)
     _emit(jsonio.record_out(rec), args.out)
     return 0
 
@@ -126,21 +135,13 @@ def _table_row(job):
 
 
 def cmd_table(args):
-    if args.corpus not in corpora.CORPORA:
-        print(f"error: unknown corpus {args.corpus}", file=sys.stderr)
-        return 2
-    rows = corpora.CORPORA[args.corpus]
     default_t = {"fig1": 10, "fig2": 10, "fig3": 10,
                  "closedforms": 8, "extradata": 6}[args.corpus]
     T = args.max_t if args.max_t is not None else default_t
     jobs = [(r.key, r.vertices,
              jsonio.ratfun_out(r.form) if r.form else None, r.provenance, T)
-            for r in rows]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            results = pool.map(_table_row, jobs)
-    else:
-        results = [_table_row(j) for j in jobs]
+            for r in corpora.CORPORA[args.corpus]]
+    results = _map(_table_row, jobs, args.jobs)
     failures = 0
     for key, status, payload in results:
         print(f"{args.corpus}/{key}: {status}")
@@ -185,11 +186,7 @@ def _modp_trial(job):
 
 def _verify_closure(args):
     seeds = [args.seed * 100003 + i for i in range(args.trials)]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            results = pool.map(_closure_trial, seeds)
-    else:
-        results = [_closure_trial(s) for s in seeds]
+    results = _map(_closure_trial, seeds, args.jobs)
     bad = results.count(False)
     print(f"closure: {len(results)} trials, {bad} failures")
     return 1 if bad else 0
@@ -231,11 +228,7 @@ def _modp_closure(args, primes):
     bad = 0
     for p in primes:
         jobs = [(args.seed * 7919 + i, p) for i in range(args.trials)]
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                results = pool.map(_modp_trial, jobs)
-        else:
-            results = [_modp_trial(j) for j in jobs]
+        results = _map(_modp_trial, jobs, args.jobs)
         fails = results.count(False)
         bad += fails
         print(f"modp closure p={p}: {len(results)} trials, {fails} failures")
@@ -280,19 +273,18 @@ def _verify_classical(args):
     return 1 if bad else 0
 
 
+SUITES = {
+    "closure": _verify_closure,
+    "identities": _verify_identities,
+    "chainorder": _verify_chainorder,
+    "modp": _verify_modp,
+    "equivariant": _verify_equivariant,
+    "classical": _verify_classical,
+}
+
+
 def cmd_verify(args):
-    suites = {
-        "closure": _verify_closure,
-        "identities": _verify_identities,
-        "chainorder": _verify_chainorder,
-        "modp": _verify_modp,
-        "equivariant": _verify_equivariant,
-        "classical": _verify_classical,
-    }
-    if args.what not in suites:
-        print(f"error: unknown suite {args.what}", file=sys.stderr)
-        return 2
-    return suites[args.what](args)
+    return SUITES[args.what](args)
 
 
 def cmd_equivariant(args):
@@ -300,13 +292,12 @@ def cmd_equivariant(args):
     try:
         elements = jsonio.group_in(_load_json(args.group))
     except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: bad group file: {exc}", file=sys.stderr)
-        return 2
-    M = args.max_m if args.max_m is not None else 4
-    out = {}
-    for g in elements:
-        out[g.id] = [jsonio.qpoly_out(graded_character(P, g, m))
-                     for m in range(M + 1)]
+        return _bad("group", exc)
+    try:
+        out = {g.id: [jsonio.qpoly_out(graded_character(P, g, m))
+                      for m in range(args.max_m + 1)] for g in elements}
+    except NotASymmetryError as exc:
+        return _bad("group", exc)
     _emit(out, args.out)
     return 0
 
@@ -315,8 +306,7 @@ def cmd_poset(args):
     try:
         poset = jsonio.poset_in(_load_json(args.poset))
     except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: bad poset file: {exc}", file=sys.stderr)
-        return 2
+        return _bad("poset", exc)
     if args.kind == "order":
         _emit(jsonio.polytope_out(order_polytope(poset)), args.out)
     elif args.kind == "chain":
@@ -334,94 +324,93 @@ def cmd_poset(args):
 
 def cmd_modp(args):
     if args.kind == "beta":
-        print(beta_bound(args.r, args.rp, args.prime or 0))
+        print(beta_bound(args.r, args.rp, args.prime))
         return 0
     return _modp_closure(args, [args.prime or 3])
 
 
-def main(argv=None):
+def _int_where(test, what):
+    """An argparse type: an integer passing ``test``, else exit 2."""
+    def parse(text):
+        try:
+            if test(int(text)):
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_NAT = _int_where(lambda n: n >= 0, "an integer >= 0")
+POLYTOPE = ("polytope", {})
+MAX_T = ("--max-t", {"type": _NAT, "default": 10})
+SUITE_T = ("--max-t", {"type": _NAT})  # None: the corpus's or suite's own T
+MAX_M = ("--max-m", {"type": _NAT})
+CACHE = ("--cache", {})
+OUT = ("--out", {})
+JOBS = ("--jobs", {"type": int, "default": 1})
+SEED = ("--seed", {"type": int, "default": 0})
+TRIALS = ("--trials", {"type": _NAT, "default": 100})
+# 0 is characteristic 0 for `modp beta` and the default prime(s) elsewhere
+PRIME = ("--prime", {"type": _int_where(
+    lambda n: n == 0 or n > 1 and all(n % d for d in range(2, isqrt(n) + 1)),
+    "0 or a prime"), "default": 0})
+BETA_ARG = {"type": _int_where(lambda n: n >= 1, "an integer >= 1"),
+            "nargs": "?", "default": 2}
+
+# subcommand: (help, handler, arguments); each takes only what it reads,
+# except that compute and guess accept and ignore --jobs, which the
+# benchmark passes them
+COMMANDS = {
+    "compute": ("per-dilate graded counts to order T", cmd_compute,
+                [POLYTOPE, MAX_T, CACHE, OUT, JOBS]),
+    "interior": ("interior graded counts to order T", cmd_interior,
+                 [POLYTOPE, MAX_T, CACHE, OUT]),
+    "guess": ("compute counts and search a rational form", cmd_guess,
+              [POLYTOPE, MAX_T, ("--den-b-max", {"type": int}),
+               ("--den-a-max", {"type": int}), ("--nu-max", {"type": int}),
+               CACHE, OUT, JOBS]),
+    "table": ("reproduce a built-in corpus", cmd_table,
+              [("corpus", {"choices": list(corpora.CORPORA)}), SUITE_T, JOBS,
+               ("--verbose", {"action": "store_true"})]),
+    "verify": ("run a property suite", cmd_verify,
+               [("what", {"choices": list(SUITES)}), TRIALS, SEED, JOBS,
+                PRIME, SUITE_T, MAX_M]),
+    "equivariant": ("graded characters of symmetries", cmd_equivariant,
+                    [POLYTOPE, ("group", {}),
+                     ("--max-m", {"type": _NAT, "default": 4}), OUT]),
+    "poset": ("poset polytopes and the transfer map", cmd_poset,
+              [("kind", {"choices": ["order", "chain", "transfer"]}),
+               ("poset", {}), OUT,
+               ("--point", {"default": "",
+                            "help": "comma-separated values for transfer"})]),
+    "modp": ("positive-characteristic checks", cmd_modp,
+             [("kind", {"choices": ["closure", "beta"]}), ("r", BETA_ARG),
+              ("rp", BETA_ARG), PRIME, TRIALS, SEED, JOBS]),
+}
+
+
+def parser():
+    """The argument parser; each subcommand dispatches through ``run``."""
     ap = argparse.ArgumentParser(
         prog="qehrhart",
         description="exact graded lattice-point series of lattice polytopes")
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(run=handler)
+    return ap
 
-    def common(p):
-        p.add_argument("--max-t", type=int, default=10)
-        p.add_argument("--max-m", type=int, default=None)
-        p.add_argument("--den-b-max", type=int, default=None)
-        p.add_argument("--den-a-max", type=int, default=None)
-        p.add_argument("--nu-max", type=int, default=None)
-        p.add_argument("--prime", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--out", default=None)
-        p.add_argument("--cache", default=None)
-        p.add_argument("--verbose", action="store_true")
 
-    pc = sub.add_parser("compute", help="per-dilate graded counts to order T")
-    pc.add_argument("polytope")
-    common(pc)
-
-    pi = sub.add_parser("interior", help="interior graded counts to order T")
-    pi.add_argument("polytope")
-    common(pi)
-
-    pg = sub.add_parser("guess", help="compute counts and search a rational form")
-    pg.add_argument("polytope")
-    common(pg)
-
-    pt = sub.add_parser("table", help="reproduce a built-in corpus")
-    pt.add_argument("corpus",
-                    choices=["fig1", "fig2", "fig3", "closedforms", "extradata"])
-    common(pt)
-    pt.set_defaults(max_t=None)
-
-    pv = sub.add_parser("verify", help="run a property suite")
-    pv.add_argument("what", choices=["closure", "identities", "chainorder",
-                                     "modp", "equivariant", "classical"])
-    common(pv)
-    pv.set_defaults(max_t=None)
-
-    pe = sub.add_parser("equivariant", help="graded characters of symmetries")
-    pe.add_argument("polytope")
-    pe.add_argument("group")
-    common(pe)
-
-    pp = sub.add_parser("poset", help="poset polytopes and the transfer map")
-    pp.add_argument("kind", choices=["order", "chain", "transfer"])
-    pp.add_argument("poset")
-    pp.add_argument("--point", default="", help="comma-separated values for transfer")
-    common(pp)
-
-    pm = sub.add_parser("modp", help="positive-characteristic checks")
-    pm.add_argument("kind", choices=["closure", "beta"])
-    pm.add_argument("r", type=int, nargs="?", default=2)
-    pm.add_argument("rp", type=int, nargs="?", default=2)
-    common(pm)
-
-    args = ap.parse_args(argv)
+def main(argv=None):
+    args = parser().parse_args(argv)
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "interior":
-            return cmd_compute(args, interior_only=True)
-        if args.command == "guess":
-            return cmd_guess(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "equivariant":
-            return cmd_equivariant(args)
-        if args.command == "poset":
-            return cmd_poset(args)
-        if args.command == "modp":
-            return cmd_modp(args)
+        return args.run(args)
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,13 +1,52 @@
 import json
 import os
+import re
 
 import pytest
 
-from qehrhart.cli import main
+from qehrhart.cli import COMMANDS, main
 from qehrhart.ehrhart import compute_record
 from qehrhart.jsonio import (RecordCache, record_in, record_out, polytope_in,
                              ratfun_in, ratfun_out)
 from qehrhart.qseries import BivarPoly, RatFun2
+
+
+# Each subcommand accepts exactly the flags its handler reads, so no flag is
+# accepted and then ignored.  compute and guess read no --jobs but accept it,
+# because the benchmark passes `--jobs 1` to both.
+FLAGS = {
+    "compute": {"--max-t", "--cache", "--out", "--jobs"},
+    "interior": {"--max-t", "--cache", "--out"},
+    "guess": {"--max-t", "--den-b-max", "--den-a-max", "--nu-max", "--cache",
+              "--out", "--jobs"},
+    "table": {"--max-t", "--jobs", "--verbose"},
+    "verify": {"--trials", "--seed", "--jobs", "--prime", "--max-t",
+               "--max-m"},
+    "equivariant": {"--max-m", "--out"},
+    "poset": {"--point", "--out"},
+    "modp": {"--prime", "--trials", "--seed", "--jobs"},
+}
+
+# inputs that must exit 2 with one `error:` line; upper-case words are files
+BAD_INPUTS = [
+    ["compute", "BAD"],
+    ["compute", "MISSING"],
+    ["compute", "SQUARE", "--max-t", "-1"],
+    ["compute", "SQUARE", "--max-t", "x"],
+    ["guess", "SQUARE", "--max-t", "-2"],
+    ["table", "fig1", "--max-t", "-1"],
+    ["verify", "closure", "--trials", "-1"],
+    ["verify", "chainorder", "--max-m", "-1"],
+    ["equivariant", "SQUARE", "GROUP", "--max-m", "-1"],
+    ["modp", "closure", "--prime", "4"],
+    ["verify", "modp", "--prime", "4"],
+    ["modp", "closure", "--prime", "1", "--trials", "3"],
+    ["modp", "beta", "0", "2"],
+    ["modp", "beta", "2", "0"],
+    ["equivariant", "SQUARE", "SHEAR"],
+    ["table", "fig1", "--cache", "D"],
+    ["compute", "SQUARE", "--trials", "3"],
+]
 
 
 @pytest.fixture
@@ -128,16 +167,33 @@ class TestCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    def test_parse_error_exit_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"vertices\": []}")
+    @pytest.mark.parametrize("argv", BAD_INPUTS, ids="_".join)
+    def test_parse_error_exit_two(self, argv, square_file, tmp_path, capsys):
+        files = {"BAD": tmp_path / "bad.json", "SQUARE": square_file,
+                 "MISSING": tmp_path / "missing.json",
+                 "GROUP": tmp_path / "group.json",
+                 "SHEAR": tmp_path / "shear.json"}
+        files["BAD"].write_text("{\"vertices\": []}")
+        files["GROUP"].write_text(json.dumps({"elements": [
+            {"id": "swap", "matrix": [[0, 1], [1, 0]]}]}))
+        files["SHEAR"].write_text(json.dumps({"elements": [
+            {"id": "shear", "matrix": [[1, 1], [0, 1]]}]}))
+        try:
+            code = main([str(files.get(a, a)) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_only_flags_read(self, command, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["compute", str(bad)])
-        assert err.value.code == 2
-        missing = tmp_path / "missing.json"
-        with pytest.raises(SystemExit) as err:
-            main(["compute", str(missing)])
-        assert err.value.code == 2
+            main([command, "--help"])
+        assert err.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags - {"--help"} == FLAGS[command]
 
     def test_guess(self, square_file, capsys):
         assert main(["guess", square_file, "--max-t", "10"]) == 0
