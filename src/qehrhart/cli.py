@@ -342,21 +342,21 @@ def _int_where(test, what):
 
 
 _NAT = _int_where(lambda n: n >= 0, "an integer >= 0")
+_POS = _int_where(lambda n: n >= 1, "an integer >= 1")
 POLYTOPE = ("polytope", {})
 MAX_T = ("--max-t", {"type": _NAT, "default": 10})
 SUITE_T = ("--max-t", {"type": _NAT})  # None: the corpus's or suite's own T
 MAX_M = ("--max-m", {"type": _NAT})
 CACHE = ("--cache", {})
 OUT = ("--out", {})
-JOBS = ("--jobs", {"type": int, "default": 1})
+JOBS = ("--jobs", {"type": _POS, "default": 1})
 SEED = ("--seed", {"type": int, "default": 0})
 TRIALS = ("--trials", {"type": _NAT, "default": 100})
 # 0 is characteristic 0 for `modp beta` and the default prime(s) elsewhere
 PRIME = ("--prime", {"type": _int_where(
     lambda n: n == 0 or n > 1 and all(n % d for d in range(2, isqrt(n) + 1)),
     "0 or a prime"), "default": 0})
-BETA_ARG = {"type": _int_where(lambda n: n >= 1, "an integer >= 1"),
-            "nargs": "?", "default": 2}
+BETA_ARG = {"type": _POS, "nargs": "?", "default": 2}
 
 # subcommand: (help, handler, arguments); each takes only what it reads,
 # except that compute and guess accept and ignore --jobs, which the
@@ -367,8 +367,8 @@ COMMANDS = {
     "interior": ("interior graded counts to order T", cmd_interior,
                  [POLYTOPE, MAX_T, CACHE, OUT]),
     "guess": ("compute counts and search a rational form", cmd_guess,
-              [POLYTOPE, MAX_T, ("--den-b-max", {"type": int}),
-               ("--den-a-max", {"type": int}), ("--nu-max", {"type": int}),
+              [POLYTOPE, MAX_T, ("--den-b-max", {"type": _POS}),
+               ("--den-a-max", {"type": _NAT}), ("--nu-max", {"type": _POS}),
                CACHE, OUT, JOBS]),
     "table": ("reproduce a built-in corpus", cmd_table,
               [("corpus", {"choices": list(corpora.CORPORA)}), SUITE_T, JOBS,

@@ -30,8 +30,8 @@ class CorpusRow:
 
 
 def _row(key, verts, num, den, provenance="verified", inum=None):
-    form = RatFun2(BivarPoly(num), den) if num is not None else None
-    iform = RatFun2(BivarPoly(inum), den) if inum is not None else None
+    form = RatFun2(num, den) if num is not None else None
+    iform = RatFun2(inum, den) if inum is not None else None
     return CorpusRow(key, tuple(tuple(v) for v in verts), form, provenance, iform)
 
 
@@ -207,21 +207,9 @@ _N3 = _sparse([
 
 # guess for the volume-3 tetrahedron with apex (1,1,3); numerator carries a
 # negative factor (1 - q^5 t^4), expanded here
-_T113 = None  # built below
-
-
-def _mul_terms(a, b):
-    out = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-_T113 = _mul_terms(
-    _mul_terms({(0, 0): 1, (1, 1): 1}, {(0, 0): 1, (4, 5): -1}),
-    {(0, 0): 1, (1, 1): 1, (2, 2): 2, (2, 3): 1, (3, 4): 2, (4, 5): 1, (4, 6): 1})
+_T113 = (BivarPoly({(0, 0): 1, (1, 1): 1}) * BivarPoly({(0, 0): 1, (4, 5): -1})
+         * BivarPoly({(0, 0): 1, (1, 1): 1, (2, 2): 2, (2, 3): 1, (3, 4): 2,
+                      (4, 5): 1, (4, 6): 1}))
 
 
 def _extradata_rows():
@@ -274,9 +262,9 @@ def _extradata_rows():
              _ones([(0, 0)] + [(1, k) for k in range(1, 7)]),
              [(1, 0), (1, 1), (1, 7)], g),
         _row("x7-2", [(0, 0), (1, 0), (2, 7)],
-             _mul_terms({(0, 0): 1, (1, 1): 1},
-                        {(0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1,
-                         (2, 4): 1, (2, 5): 1, (2, 6): 1}),
+             BivarPoly({(0, 0): 1, (1, 1): 1})
+             * BivarPoly({(0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1,
+                          (2, 4): 1, (2, 5): 1, (2, 6): 1}),
              [(1, 0), (1, 2), (2, 7)], g),
         _row("x7-3", [(0, 0), (1, 0), (3, 7)], _N2,
              [(1, 0), (3, 8), (8, 21)], g),
@@ -284,16 +272,16 @@ def _extradata_rows():
              _ones([(0, 0)] + [(1, k) for k in range(1, 8)]),
              [(1, 0), (1, 1), (1, 8)], g),
         _row("x8-2", [(0, 0), (1, 0), (3, 8)],
-             _mul_terms({(0, 0): 1, (1, 2): 1},
-                        {(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1, (2, 4): 1,
-                         (2, 5): 2, (3, 6): 2, (3, 7): 1}),
+             BivarPoly({(0, 0): 1, (1, 2): 1})
+             * BivarPoly({(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1,
+                          (2, 4): 1, (2, 5): 2, (3, 6): 2, (3, 7): 1}),
              [(1, 0), (1, 3), (3, 8)], g),
         _row("x8-3", [(0, 0), (1, 0), (5, 8)],
              {(0, 0): 1, (1, 1): 2, (1, 2): 2, (1, 3): 1, (2, 3): 1, (2, 4): 1},
              [(1, 0), (1, 2), (1, 4)], g),
         _row("x8-4", [(0, 0), (1, 0), (7, 8)],
-             _mul_terms({(0, 0): 1, (1, 1): 1},
-                        {(0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1}),
+             BivarPoly({(0, 0): 1, (1, 1): 1})
+             * BivarPoly({(0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 3): 1}),
              [(1, 0), (1, 2), (1, 4)], g),
         _row("x8-5", [(0, 0), (2, 0), (2, 4)],
              {(0, 0): 1, (1, 1): 2, (1, 2): 2, (1, 3): 2, (2, 4): 1},

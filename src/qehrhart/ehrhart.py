@@ -74,15 +74,9 @@ def _locus_key(pts):
 
 
 def _weight_poly(locus):
-    """Sum of q^(coordinate sum) over the locus; needs nonnegative sums."""
-    counts = {}
-    for z in locus:
-        w = sum(z)
-        if w < 0:
-            raise ValueError("negative coordinate sum; no weight enumerator")
-        counts[w] = counts.get(w, 0) + 1
-    top = max(counts, default=0)
-    return QPoly([counts.get(d, 0) for d in range(top + 1)])
+    """Sum of q^(coordinate sum) over the locus; a negative sum raises
+    ValueError."""
+    return QPoly.from_degrees(sum(z) for z in locus)
 
 
 def _orthant_count(locus, dim, interior):
@@ -230,46 +224,23 @@ def verify_guess_expansion(P: LatticePolytope, form: RatFun2, T: int) -> bool:
 
 # -- reciprocity -------------------------------------------------------------
 
-def _laurent_mul(A, B):
-    out = {}
-    for ka, va in A.items():
-        for kb, vb in B.items():
-            k = (ka[0] + kb[0], ka[1] + kb[1])
-            out[k] = out.get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
-
-
-def _laurent_of_denominator(factors, inverse=False):
-    out = {(0, 0): 1}
-    for (b, a) in factors:
-        f = {(0, 0): 1, ((-b, -a) if inverse else (b, a)): -1}
-        out = _laurent_mul(out, f)
-    return out
+def _reciprocal(E: RatFun2, Ebar: RatFun2, d: int, shift: int) -> bool:
+    """q^shift * Ebar(t, q) == (-1)^(d+1) * E(1/t, 1/q), cross-multiplied as
+    Laurent polynomials, so no common denominator needs to be constructed."""
+    sign = 1 if d % 2 else -1
+    return (Ebar.numerator * BivarPoly({(0, shift): sign})
+            * E.denominator_poly().reflect()
+            == E.numerator.reflect() * Ebar.denominator_poly())
 
 
 def reciprocity_check(E: RatFun2, Ebar: RatFun2, d: int) -> bool:
-    """Exact identity q^d * Ebar(t, q) == (-1)^(d+1) * E(1/t, 1/q).
-
-    Cross-multiplied and compared as Laurent polynomials, so no common
-    denominator needs to be constructed.
-    """
-    lhs = _laurent_mul(
-        {(k[0], k[1] + d): v for k, v in Ebar.numerator.terms.items()},
-        _laurent_of_denominator(E.denom_factors, inverse=True))
-    sign = 1 if (d + 1) % 2 == 0 else -1
-    rhs = _laurent_mul(
-        {(-k[0], -k[1]): sign * v for k, v in E.numerator.terms.items()},
-        _laurent_of_denominator(Ebar.denom_factors, inverse=False))
-    return lhs == rhs
+    """Exact identity q^d * Ebar(t, q) == (-1)^(d+1) * E(1/t, 1/q)."""
+    return _reciprocal(E, Ebar, d, d)
 
 
 def weight_reciprocity_check(N: BivarPoly, Nbar: BivarPoly, den, d: int) -> bool:
     """Nbar/D == (-1)^(d+1) N(1/t,1/q)/D(1/t,1/q) as rational functions."""
-    lhs = _laurent_mul(dict(Nbar.terms), _laurent_of_denominator(den, inverse=True))
-    sign = 1 if (d + 1) % 2 == 0 else -1
-    rhs = _laurent_mul({(-i, -j): sign * v for (i, j), v in N.terms.items()},
-                       _laurent_of_denominator(den, inverse=False))
-    return lhs == rhs
+    return _reciprocal(RatFun2(N, den), RatFun2(Nbar, den), d, 0)
 
 
 # -- structural identity checks ----------------------------------------------
@@ -324,11 +295,10 @@ def classical_check(P: LatticePolytope):
     d = P.dim
     T = d + 3
     counts = [len(P.lattice_points(m)) for m in range(T + 1)]
-    # multiply sum counts[m] t^m by (1-t)^(d+1)
-    coeffs = list(counts)
+    S = TQSeries([QPoly([c]) for c in counts], T)
     for _ in range(d + 1):
-        coeffs = [coeffs[0]] + [coeffs[i] - coeffs[i - 1]
-                                for i in range(1, len(coeffs))]
+        S = S.mul_factor(1, 0)
+    coeffs = S.at_q1()
     if any(coeffs[m] != 0 for m in range(d + 1, T + 1)):
         raise InconsistencyError("counting function is not a degree-d polynomial")
     hstar = HStar(tuple(coeffs[: d + 1]))
@@ -365,14 +335,9 @@ class QEhrhartRecord:
     verification: str = "none"
 
 
-def compute_record(P: LatticePolytope, T: int, with_guess=False, bounds=None,
-                   generation_cutoff=None):
-    """Assemble the per-polytope record; optionally guess rational forms.
-
-    With ``generation_cutoff`` set, a successful span-closure check from
-    grades up to the cutoff upgrades the verification level; a guess that
-    is merely consistent with the truncation is never labeled stronger.
-    """
+def compute_record(P: LatticePolytope, T: int, with_guess=False, bounds=None):
+    """Assemble the per-polytope record; optionally guess rational forms,
+    labelled as consistent with the truncation, never stronger."""
     rec = QEhrhartRecord(
         name=P.name or "polytope",
         vertices=tuple(P.vertices),
@@ -384,8 +349,4 @@ def compute_record(P: LatticePolytope, T: int, with_guess=False, bounds=None,
         rec.guess_E = guess(P, T, bounds)
         rec.guess_Ebar = guess(P, T, bounds, interior=True)
         rec.verification = f"truncation({T})" if rec.guess_E else "none"
-        if rec.guess_E is not None and generation_cutoff is not None:
-            from .halgebra import generation_check
-            if generation_check(P, generation_cutoff, T).fully_generated:
-                rec.verification = f"generated({generation_cutoff},{T})"
     return rec

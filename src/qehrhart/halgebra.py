@@ -148,12 +148,9 @@ def subalgebra_hilbert(P: LatticePolytope, gens, T: int) -> TQSeries:
                 continue
             span_products({dg: [g]}, G.get(m - k, {}), span=span)
         G[m] = {d: kept for d, (_, kept) in span.items()}
-    coeffs = []
-    for m in range(T + 1):
-        dims = {d: len(kept) for d, kept in G.get(m, {}).items()}
-        top = max(dims, default=0)
-        coeffs.append(QPoly([dims.get(d, 0) for d in range(top + 1)]))
-    return TQSeries(coeffs, T)
+    return TQSeries([QPoly.from_degrees(d for d, kept in G[m].items()
+                                        for _ in kept)
+                      for m in range(T + 1)], T)
 
 
 def chain_order_equality(poset: Poset, M: int) -> bool:
@@ -175,11 +172,8 @@ def chain_order_equality(poset: Poset, M: int) -> bool:
         if zo_i != zc_i:
             if len(zo_i) != len(zc_i):
                 return False
-            if len(zo_i) == 0:
-                continue
             if harmonic_basis(zo_i).by_degree != harmonic_basis(zc_i).by_degree:
                 return False
-    # interior count equality when both empty is fine; series equality follows
     return True
 
 

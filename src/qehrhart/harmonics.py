@@ -220,12 +220,6 @@ class GBasis:
     def leading_terms(self):
         return [g.leading_monomial() for g in self.generators]
 
-    def standard_degrees(self):
-        counts = {}
-        for m in self.standard_monomials:
-            counts[sum(m)] = counts.get(sum(m), 0) + 1
-        return counts
-
 
 def _nodes(points):
     """Interpolation nodes of each axis: the distinct values of that
@@ -363,22 +357,11 @@ def buchberger_moeller(Z, p=0, graded=False) -> GBasis:
     return GBasis(n, gens, std)
 
 
-def standard_monomial_degrees(Z):
-    """Degree counts of the standard monomials: the graded dimension count
-    of the quotient by the associated graded ideal (and of its dual
-    space)."""
-    std, _, _ = _run_bm(list(Z))
-    counts = {}
-    for m in std:
-        counts[sum(m)] = counts.get(sum(m), 0) + 1
-    return counts
-
-
 def hilbert_qpoly(Z) -> QPoly:
-    """Graded dimension count of the quotient by the associated graded ideal."""
-    counts = standard_monomial_degrees(Z)
-    top = max(counts)
-    return QPoly([counts.get(d, 0) for d in range(top + 1)])
+    """Graded dimension count of the quotient by the associated graded ideal
+    (and of its dual space): the degrees of the standard monomials."""
+    std, _, _ = _run_bm(list(Z))
+    return QPoly.from_degrees(sum(m) for m in std)
 
 
 def gr_ideal(Z, p=0) -> GBasis:
@@ -483,10 +466,9 @@ def harmonic_basis(Z, p=0) -> HarmonicBasis:
             by_degree[sum(z)].append(MultiPoly(n, {z: 1}))
         return HarmonicBasis(n, by_degree)
     gb = gr_ideal(points, p)
-    counts = gb.standard_degrees()
-    top = max(counts)
+    counts = QPoly.from_degrees(sum(m) for m in gb.standard_monomials)
     by_degree = []
-    for d in range(top + 1):
+    for d in range(counts.degree + 1):
         comp, mons = gr_component(points, d, _gb=gb, p=p)
         if not comp:
             by_degree.append([MultiPoly(n, {m: 1}) for m in mons])
@@ -502,9 +484,8 @@ def harmonic_basis(Z, p=0) -> HarmonicBasis:
     hb = HarmonicBasis(n, by_degree)
     if hb.dimension() != len(points):
         raise InconsistencyError("dual space dimension differs from locus size")
-    for d, bs in enumerate(by_degree):
-        if len(bs) != counts.get(d, 0):
-            raise InconsistencyError("dual space degree dims mismatch")
+    if hb.hilbert() != counts:
+        raise InconsistencyError("dual space degree dims mismatch")
     return hb
 
 

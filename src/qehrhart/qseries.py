@@ -8,6 +8,7 @@ the multiplicities of a character decomposition before they are checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 
@@ -19,6 +20,30 @@ def _trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _mul_factor_rows(rows, b, a, divide=False):
+    """Coefficient rows (one list per t-power) times (1 - q^a t^b), or with
+    ``divide`` over it as a power series: out[m] = rows[m] + q^a out[m-b].
+
+    Same truncation order; the input rows are shared, never mutated.
+    """
+    out = rows[:b]
+    lows = out if divide else rows
+    for m in range(b, len(rows)):
+        low = lows[m - b]
+        if not low:
+            out.append(rows[m])
+            continue
+        row = rows[m] + [0] * (len(low) + a - len(rows[m]))
+        if divide:
+            for d, c in enumerate(low, a):
+                row[d] += c
+        else:
+            for d, c in enumerate(low, a):
+                row[d] -= c
+        out.append(_trim(row))
+    return out
 
 
 def _exact(c):
@@ -47,6 +72,14 @@ class QPoly:
     @staticmethod
     def monomial(c, d):
         return QPoly([0] * d + [c])
+
+    @staticmethod
+    def from_degrees(degrees):
+        """Sum of q^d over an iterable of degrees d >= 0: their histogram."""
+        counts = Counter(degrees)
+        if min(counts, default=0) < 0:
+            raise ValueError("negative degree")
+        return QPoly([counts[d] for d in range(max(counts, default=-1) + 1)])
 
     @staticmethod
     def q_integer(m):
@@ -193,10 +226,8 @@ class TQSeries:
 
     def mul_factor(self, b, a):
         """Multiply by (1 - q^a t^b), exactly, same truncation order."""
-        out = list(self.coeffs)
-        for m in range(self.T, b - 1, -1):
-            out[m] = out[m] - self.coeffs[m - b].shift(a)
-        return TQSeries(out, self.T)
+        return TQSeries(_mul_factor_rows([c.coeffs for c in self.coeffs],
+                                         b, a), self.T)
 
     def at_q1(self):
         """Specialize q -> 1: list of exact rationals per t-power."""
@@ -207,7 +238,8 @@ class TQSeries:
 
 
 class BivarPoly:
-    """Polynomial in (t, q) as {(tExp, qExp): coefficient} with int coefficients."""
+    """Polynomial in (t, q) as {(tExp, qExp): coefficient} with int
+    coefficients; exponents may be negative (a Laurent polynomial)."""
 
     __slots__ = ("terms",)
 
@@ -249,12 +281,18 @@ class BivarPoly:
                 out[key] = out.get(key, 0) + a * b
         return BivarPoly(out)
 
+    def reflect(self):
+        """The substitution t -> 1/t, q -> 1/q."""
+        return BivarPoly({(-i, -j): c for (i, j), c in self.terms.items()})
+
     def t_degree(self):
         return max((i for (i, _) in self.terms), default=-1)
 
     def as_qpoly_list(self, T):
         out = [dict() for _ in range(T + 1)]
         for (i, j), c in self.terms.items():
+            if i < 0 or j < 0:
+                raise ValueError("negative exponent; not a power series")
             if i <= T:
                 out[i][j] = c
         res = []
@@ -320,21 +358,10 @@ class RatFun2:
 
     def expand(self, T):
         """Exact power-series expansion to t-order T."""
-        coeffs = self.numerator.as_qpoly_list(T)
-        series = TQSeries(coeffs, T)
+        rows = [c.coeffs for c in self.numerator.as_qpoly_list(T)]
         for (b, a) in self.denom_factors:
-            # multiply by sum_k q^{ak} t^{bk}
-            out = [QPoly() for _ in range(T + 1)]
-            for m in range(T + 1):
-                c = series.coeffs[m]
-                if c.is_zero():
-                    continue
-                k = 0
-                while m + k * b <= T:
-                    out[m + k * b] = out[m + k * b] + c.shift(a * k)
-                    k += 1
-            series = TQSeries(out, T)
-        return series
+            rows = _mul_factor_rows(rows, b, a, divide=True)
+        return TQSeries(rows, T)
 
     def equals_as_rational(self, other) -> bool:
         """Exact equality as rational functions (cross multiplication)."""
@@ -357,15 +384,15 @@ def fit_numerator(S: TQSeries, den, t_deg_max: int):
     if S.T < t_deg_max + sum_b + 2:
         raise InsufficientTruncationError(
             f"need series order >= {t_deg_max + sum_b + 2}, have {S.T}")
-    prod = S
+    rows = [c.coeffs for c in S.coeffs]
     for (b, a) in den:
-        prod = prod.mul_factor(b, a)
-    for m in range(t_deg_max + 1, prod.T + 1):
-        if not prod.coeffs[m].is_zero():
-            return None
+        rows = _mul_factor_rows(rows, b, a)
+    top = max(t_deg_max, -1) + 1   # rows below top form the numerator
+    if any(rows[top:]):
+        return None
     terms = {}
-    for m in range(min(t_deg_max, prod.T) + 1):
-        for d, c in enumerate(prod.coeffs[m].coeffs):
+    for m, row in enumerate(rows[:top]):
+        for d, c in enumerate(row):
             if c:
                 if c.denominator != 1:
                     return None
@@ -379,24 +406,6 @@ def _factor_types(b_max, a_max):
 
 def _multiset_key(factors):
     return (len(factors), sum(a + b for (b, a) in factors), tuple(sorted(factors)))
-
-
-def _mul_factor_rows(rows, b, a):
-    """Coefficient rows (one list per t-power) times (1 - q^a t^b).
-
-    Same truncation order; the input rows are shared, never mutated.
-    """
-    out = rows[:b]
-    for m in range(b, len(rows)):
-        low = rows[m - b]
-        if not low:
-            out.append(rows[m])
-            continue
-        row = rows[m] + [0] * (len(low) + a - len(rows[m]))
-        for d, c in enumerate(low, a):
-            row[d] -= c
-        out.append(_trim(row))
-    return out
 
 
 def denominator_search(S: TQSeries, b_max, a_max, nu_max, t_deg_max=None,

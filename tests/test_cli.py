@@ -46,6 +46,13 @@ BAD_INPUTS = [
     ["equivariant", "SQUARE", "SHEAR"],
     ["table", "fig1", "--cache", "D"],
     ["compute", "SQUARE", "--trials", "3"],
+    ["guess", "SQUARE", "--den-b-max", "-1"],
+    ["guess", "SQUARE", "--den-b-max", "0"],
+    ["guess", "SQUARE", "--nu-max", "0"],
+    ["guess", "SQUARE", "--den-a-max", "-1"],
+    ["table", "fig1", "--jobs", "0"],
+    ["verify", "closure", "--jobs", "-1"],
+    ["modp", "closure", "--jobs", "0"],
 ]
 
 

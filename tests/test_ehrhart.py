@@ -308,6 +308,89 @@ class TestReciprocity:
         assert not reciprocity_check(E, bad, 1)
 
 
+def ref_laurent_mul(A, B):
+    out = {}
+    for ka, va in A.items():
+        for kb, vb in B.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1])
+            out[k] = out.get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_laurent_of_denominator(factors, inverse=False):
+    out = {(0, 0): 1}
+    for (b, a) in factors:
+        f = {(0, 0): 1, ((-b, -a) if inverse else (b, a)): -1}
+        out = ref_laurent_mul(out, f)
+    return out
+
+
+def ref_reciprocity_check(E, Ebar, d):
+    """``reciprocity_check`` as it was, on Laurent term dicts."""
+    lhs = ref_laurent_mul(
+        {(k[0], k[1] + d): v for k, v in Ebar.numerator.terms.items()},
+        ref_laurent_of_denominator(E.denom_factors, inverse=True))
+    sign = 1 if (d + 1) % 2 == 0 else -1
+    rhs = ref_laurent_mul(
+        {(-k[0], -k[1]): sign * v for k, v in E.numerator.terms.items()},
+        ref_laurent_of_denominator(Ebar.denom_factors, inverse=False))
+    return lhs == rhs
+
+
+def ref_weight_reciprocity_check(N, Nbar, den, d):
+    lhs = ref_laurent_mul(dict(Nbar.terms),
+                          ref_laurent_of_denominator(den, inverse=True))
+    sign = 1 if (d + 1) % 2 == 0 else -1
+    rhs = ref_laurent_mul({(-i, -j): sign * v for (i, j), v in N.terms.items()},
+                          ref_laurent_of_denominator(den, inverse=False))
+    return lhs == rhs
+
+
+def reciprocal_partner(E, d, shift):
+    """The Ebar with q^shift Ebar = (-1)^(d+1) E(1/t, 1/q) over E's
+    denominator: 1/(1 - q^-a t^-b) = -q^a t^b / (1 - q^a t^b)."""
+    num = E.numerator.reflect() * BivarPoly({(0, -shift): 1 if d % 2 else -1})
+    for (b, a) in E.denom_factors:
+        num = num * BivarPoly({(b, a): -1})
+    return RatFun2(num, E.denom_factors)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reciprocity_matches_reference(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(150):
+        E = RatFun2(BivarPoly({(rng.randint(0, 3), rng.randint(0, 4)):
+                               rng.randint(-3, 3)
+                               for _ in range(rng.randint(0, 4))}),
+                    [(rng.randint(1, 3), rng.randint(0, 3))
+                     for _ in range(rng.randint(0, 3))])
+        d = rng.randint(0, 4)
+        for shift, check, ref in (
+                (d, reciprocity_check, ref_reciprocity_check),
+                (0, lambda E, Eb, d: weight_reciprocity_check(
+                    E.numerator, Eb.numerator, E.denom_factors, d),
+                 lambda E, Eb, d: ref_weight_reciprocity_check(
+                    E.numerator, Eb.numerator, E.denom_factors, d))):
+            Ebar = reciprocal_partner(E, d, shift)
+            terms = dict(Ebar.numerator.terms)
+            key = (rng.randint(-3, 3), rng.randint(-6, 3))
+            terms[key] = terms.get(key, 0) + rng.choice([-1, 1])
+            perturbed = RatFun2(BivarPoly(terms), Ebar.denom_factors)
+            forms = [(Ebar, True), (perturbed, False)]
+            if shift:   # the same partner over a longer denominator
+                b, a = rng.randint(1, 3), rng.randint(0, 3)
+                forms.append((RatFun2(
+                    Ebar.numerator * BivarPoly({(0, 0): 1, (b, a): -1}),
+                    Ebar.denom_factors + ((b, a),)), True))
+            for F, partner in forms:
+                want = ref(E, F, d)
+                assert check(E, F, d) == want, (E, F, d)
+                outcomes.add((partner, want))
+    # every partner holds and every perturbed partner fails
+    assert outcomes == {(True, True), (False, False)}
+
+
 class TestIdentities:
     def test_dilation(self):
         assert check_dilation(segment(0, 1), 2, 6)

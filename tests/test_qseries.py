@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -41,6 +42,12 @@ class TestQPoly:
     def test_eval(self):
         assert QPoly([1, 2, 3])(1) == 6
         assert QPoly.q_integer(5)(1) == 5
+
+    def test_from_degrees(self):
+        assert QPoly.from_degrees([]) == QPoly.zero()
+        assert QPoly.from_degrees(iter([2, 0, 2, 5])) == QPoly([1, 0, 2, 0, 0, 1])
+        with pytest.raises(ValueError):
+            QPoly.from_degrees([1, -1])
 
 
 class TestFit:
@@ -160,6 +167,12 @@ class TestExpand:
         with pytest.raises(ValueError):
             RatFun2(BivarPoly({(0, 0): 1}), [(0, 1)])
 
+    def test_laurent_numerator_refused(self):
+        # t^-1 once landed on t^T, and q^-1 vanished
+        for key in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                RatFun2(BivarPoly({key: 1}), [(1, 0)]).expand(3)
+
 
 factor = st.tuples(st.integers(1, 2), st.integers(0, 3))
 
@@ -208,3 +221,117 @@ def test_search_matches_candidate_route_random(num_terms, den, scale,
     bounds = (2, 3, 3)
     assert search_pairs(S, bounds, t_deg_max, first_only) == \
         reference_search(S, *bounds, t_deg_max, first_only)
+
+
+# -- the series-by-factor kernel against the loops it replaced ----------------
+
+def ref_mul_factor(S, b, a):
+    """``TQSeries.mul_factor`` as it was: one QPoly shift per t-power."""
+    out = list(S.coeffs)
+    for m in range(S.T, b - 1, -1):
+        out[m] = out[m] - S.coeffs[m - b].shift(a)
+    return TQSeries(out, S.T)
+
+
+def ref_expand(R, T):
+    """``RatFun2.expand`` as it was: times sum_k q^(ak) t^(bk), per factor."""
+    series = TQSeries(R.numerator.as_qpoly_list(T), T)
+    for (b, a) in R.denom_factors:
+        out = [QPoly() for _ in range(T + 1)]
+        for m in range(T + 1):
+            c = series.coeffs[m]
+            if c.is_zero():
+                continue
+            k = 0
+            while m + k * b <= T:
+                out[m + k * b] = out[m + k * b] + c.shift(a * k)
+                k += 1
+        series = TQSeries(out, T)
+    return series
+
+
+def ref_fit_numerator(S, den, t_deg_max):
+    """``fit_numerator`` as it was, on ``ref_mul_factor``."""
+    den = sorted((int(b), int(a)) for (b, a) in den)
+    sum_b = sum(b for (b, _) in den)
+    if S.T < t_deg_max + sum_b + 2:
+        raise InsufficientTruncationError("short")
+    prod = S
+    for (b, a) in den:
+        prod = ref_mul_factor(prod, b, a)
+    for m in range(t_deg_max + 1, prod.T + 1):
+        if not prod.coeffs[m].is_zero():
+            return None
+    terms = {}
+    for m in range(min(t_deg_max, prod.T) + 1):
+        for d, c in enumerate(prod.coeffs[m].coeffs):
+            if c:
+                if c.denominator != 1:
+                    return None
+                terms[(m, d)] = int(c)
+    return BivarPoly(terms)
+
+
+def random_form(rng):
+    """Up to four numerator terms (none at all, or negative coefficients,
+    included) over up to three factors, a = 0 and b > 1 included."""
+    terms = {(rng.randint(0, 3), rng.randint(0, 4)): rng.randint(-3, 3)
+             for _ in range(rng.randint(0, 4))}
+    den = [(rng.randint(1, 3), rng.randint(0, 3))
+           for _ in range(rng.randint(0, 3))]
+    return RatFun2(BivarPoly(terms), den)
+
+
+def coeff_types(S):
+    return [[type(c) for c in q.coeffs] for q in S.coeffs]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_expand_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        R = random_form(rng)
+        T = rng.randint(0, 8)     # often below a factor's b
+        got, want = R.expand(T), ref_expand(R, T)
+        assert got == want, (R, T)
+        assert coeff_types(got) == coeff_types(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mul_factor_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        T = rng.randint(0, 6)
+        scale = rng.choice([1, Fraction(1, 2), Fraction(-2, 3)])
+        S = TQSeries([QPoly([rng.randint(-3, 3) * scale
+                             for _ in range(rng.randint(0, 4))])
+                      for _ in range(T + 1)], T)
+        b, a = rng.randint(0, 8), rng.randint(0, 3)   # b = 0 and b > T too
+        got, want = S.mul_factor(b, a), ref_mul_factor(S, b, a)
+        assert got == want, (S, b, a)
+        assert coeff_types(got) == coeff_types(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_numerator_matches_reference(seed):
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(200):
+        R = random_form(rng)
+        T = rng.randint(0, 12)
+        S = R.expand(T)
+        # non-integral rows must be refused, as before
+        scale = rng.choice([1, 1, Fraction(1, 2), Fraction(4, 2)])
+        S = TQSeries([c * scale for c in S.coeffs], T)
+        den = rng.choice([R.denom_factors, random_form(rng).denom_factors])
+        t_deg_max = rng.randint(-1, 4)
+        try:
+            want = ref_fit_numerator(S, den, t_deg_max)
+        except InsufficientTruncationError:
+            with pytest.raises(InsufficientTruncationError):
+                fit_numerator(S, den, t_deg_max)
+            continue
+        got = fit_numerator(S, den, t_deg_max)
+        assert got == want, (R, T, scale, den, t_deg_max)
+        hits += want is not None
+    assert hits   # some fits succeed, so both outcomes are compared
