@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 comparison or property failure, 2 input error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -390,8 +391,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def parser():
-    """The argument parser; each subcommand dispatches through ``run``."""
+    """The argument parser, built once per process (argparse keeps no state
+    between calls); each subcommand dispatches through ``run``."""
     ap = argparse.ArgumentParser(
         prog="qehrhart",
         description="exact graded lattice-point series of lattice polytopes")

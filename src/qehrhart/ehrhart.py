@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .harmonics import InconsistencyError, hilbert_qpoly
-from .linalg import Mat, solve
-from .polytope import LatticePolytope
+from .polytope import LatticePolytope, _adjugate, _int_det
 from .qseries import (BivarPoly, QPoly, RatFun2, TQSeries, denominator_search)
 
 
@@ -39,7 +38,7 @@ class NotASimplexError(ValueError):
 
 MEMO_CAP = 4096   # entries; once full, the oldest entry goes first
 _memo = {}        # ("polytope", vertices, m, interior) or ("locus", ...) -> QPoly,
-                  # ("component", vertices, m) -> HComponent
+                  # ("component", vertices, m) -> HarmonicBasis
 _locus_stats = {"hits": 0, "misses": 0}
 
 
@@ -163,32 +162,33 @@ def simplex_numerators(P: LatticePolytope):
     the lifted vertices (1, v), and of its opposite; returns (N, Nbar, den)
     where den lists (1, |v|) factors.  At q=1 the numerator N gives the
     classical h*-vector.
+
+    In hull coordinates, (k, u) has coordinates a / |det H| in the basis H
+    of lifted vertices, where a = sign(det H) adj(H) (k, u) is integral.
     """
     if not P.is_simplex():
         raise NotASimplexError("numerator enumeration needs a simplex")
     d = P.dim
-    n = P.ambient_dim
-    verts = list(P.vertices)
-    weights = [sum(v) for v in verts]
+    weights = [sum(v) for v in P.vertices]
     if any(w < 0 for w in weights):
         raise ValueError("vertex with negative coordinate sum; not supported")
-    cols = [(1,) + v for v in verts]
-    M = Mat([[cols[j][i] for j in range(d + 1)] for i in range(n + 1)])
+    H = [[1] * (d + 1)] + [list(col) for col in zip(*P._vertices_u)]
+    det = _int_det(H)
+    adj = [[a if det > 0 else -a for a in row] for row in _adjugate(H)]
+    D = abs(det)
 
-    def collect(kmin, kmax, lo_ok, hi_ok):
+    def collect(ks, inside):
         terms = {}
-        for k in range(kmin, kmax + 1):
-            for z in P.lattice_points(k) if k else [(0,) * n]:
-                c = solve(M, [k] + list(z))
-                if c is None:
-                    continue
-                if all(lo_ok(x) and hi_ok(x) for x in c):
-                    w = sum(z)
+        for k in ks:
+            for u in P._hull_points(k, False):
+                a = [sum(x * y for x, y in zip(r, (k,) + u)) for r in adj]
+                if all(inside(x) for x in a):
+                    w = sum(x * y for x, y in zip(a, weights)) // D
                     terms[(k, w)] = terms.get((k, w), 0) + 1
         return BivarPoly(terms)
 
-    N = collect(0, d, lambda x: x >= 0, lambda x: x < 1)
-    Nbar = collect(1, d + 1, lambda x: x > 0, lambda x: x <= 1)
+    N = collect(range(d + 1), lambda x: 0 <= x < D)
+    Nbar = collect(range(1, d + 2), lambda x: 0 < x <= D)
     den = tuple(sorted((1, w) for w in weights))
     return N, Nbar, den
 

@@ -77,9 +77,8 @@ def graded_character(P: LatticePolytope, g: GroupElement, m: int) -> QPoly:
     """
     if not stabilizer_check(P, g):
         raise NotASymmetryError(f"{g.id} does not stabilize the polytope")
-    comp = component(P, m)
     traces = []
-    for d, basis in enumerate(comp.basis.by_degree):
+    for d, basis in enumerate(component(P, m).by_degree):
         # the basis is in reduced echelon form over grlex-descending monomials,
         # so an element's coordinate is the image's coefficient at its
         # leading monomial

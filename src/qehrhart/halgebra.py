@@ -4,7 +4,8 @@ subalgebra Hilbert series against supplied generators, and the equality
 test for the two poset polytopes.
 
 Components are stored without materializing the bookkeeping variable for
-the dilation grade; the grade tag plus products in the dual variables
+the dilation grade: each is the dual space of one dilate, memoised under
+(vertices, m), and its grade m plus products in the dual variables
 reproduce the bigrading.
 """
 
@@ -25,18 +26,7 @@ class NotInComponentError(ValueError):
     """A supplied generator does not lie in its declared component."""
 
 
-@dataclass
-class HComponent:
-    """Dual-space basis of one dilate, tagged with its dilation grade."""
-
-    m: int
-    basis: HarmonicBasis
-
-    def dims(self):
-        return [len(b) for b in self.basis.by_degree]
-
-
-def component(P: LatticePolytope, m: int) -> HComponent:
+def component(P: LatticePolytope, m: int) -> HarmonicBasis:
     """The dual space of the m-th dilate, kept in the ``ehrhart`` memo."""
     return memoised(("component", P.vertices, m), lambda: _component(P, m))
 
@@ -45,7 +35,7 @@ def _component(P, m):
     hb = harmonic_basis(P.lattice_points(m))
     if hb.hilbert() != iq(P, m):
         raise InconsistencyError("component dimensions disagree with the count")
-    return HComponent(m, hb)
+    return hb
 
 
 def product_span(P: LatticePolytope, m: int, mp: int):
@@ -57,13 +47,13 @@ def product_span(P: LatticePolytope, m: int, mp: int):
     A = component(P, m)
     B = component(P, mp)
     C = component(P, m + mp)
-    span, escape = span_products(A.basis.by_degree, B.basis.by_degree,
-                                 target=C.basis.by_degree, span={})
+    span, escape = span_products(A.by_degree, B.by_degree,
+                                 target=C.by_degree, span={})
     if escape is not None:
         raise InconsistencyError(
             f"product escapes the target component: {escape!r}")
     span_dims = {d: len(kept) for d, (_, kept) in sorted(span.items())}
-    target_dims = {d: len(b) for d, b in enumerate(C.basis.by_degree) if b}
+    target_dims = {d: len(b) for d, b in enumerate(C.by_degree) if b}
     equals = span_dims == target_dims
     return span_dims, True, equals
 
@@ -98,10 +88,10 @@ def generation_check(P: LatticePolytope, m0: int, T=None) -> GenerationReport:
     if m0 > T:
         raise ValueError("cutoff beyond horizon")
     report = GenerationReport(cutoff=m0, horizon=T)
-    G = {0: component(P, 0).basis.by_degree}   # grade -> products kept, by degree
+    G = {0: component(P, 0).by_degree}   # grade -> products kept, by degree
     for m in range(1, T + 1):
         if m <= m0:
-            G[m] = component(P, m).basis.by_degree
+            G[m] = component(P, m).by_degree
             report.per_degree_status[m] = True
             continue
         span = {}
@@ -109,7 +99,7 @@ def generation_check(P: LatticePolytope, m0: int, T=None) -> GenerationReport:
             span_products(G[i], G[m - i], span=span)
         G[m] = {d: kept for d, (_, kept) in span.items()}
         ok = True
-        for d, polys in enumerate(component(P, m).basis.by_degree):
+        for d, polys in enumerate(component(P, m).by_degree):
             want = len(polys)
             have = len(G[m].get(d, ()))
             if have > want:
@@ -127,13 +117,13 @@ def subalgebra_hilbert(P: LatticePolytope, gens, T: int) -> TQSeries:
     Each generator is a pair (grade, homogeneous polynomial in the dual
     variables) and must lie in the component of its grade.
     """
-    n = component(P, 0).basis.n
+    n = component(P, 0).n
     checked = []
     for (m, g) in gens:
         if not g.is_homogeneous():
             raise NotInComponentError("generators must be homogeneous")
         d = g.degree()
-        basis = component(P, m).basis.by_degree
+        basis = component(P, m).by_degree
         if d > 0 or m > 0:
             if not (0 <= d < len(basis)) or not degree_echelon(
                     basis[d], d).contains(coord_row(g, d)):
@@ -187,6 +177,6 @@ def interior_ideal_check(P: LatticePolytope, m: int, mp: int) -> bool:
     Vbar = harmonic_basis(locus)
     target_locus = P.interior_lattice_points(m + mp)
     Vbar_target = harmonic_basis(target_locus)
-    _, escape = span_products(A.basis.by_degree, Vbar.by_degree,
+    _, escape = span_products(A.by_degree, Vbar.by_degree,
                               target=Vbar_target.by_degree)
     return escape is None

@@ -46,10 +46,6 @@ def rref(M: Mat, p=0):
     return Mat(rows), piv
 
 
-def rank(M: Mat) -> int:
-    return Echelon.of(M.entries).dim
-
-
 def nullspace(M: Mat, p=0):
     """Basis of the right kernel over Q (``p = 0``) or F_p, one vector per
     free column.

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from .linalg import Mat, rank, solve
+from .linalg import Echelon, Mat, solve
 
 
 class PointLocus:
@@ -66,25 +66,29 @@ def _primitive(vec):
 
 
 def _int_det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * _int_det(minor)
-    return total
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination with row swaps; every division is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
-def _int_inverse(rows, det):
-    """Inverse of an integer matrix of determinant det = +-1 (adjugate * det)."""
+def _adjugate(rows):
+    """Adjugate of a square integer matrix M: M adj(M) = det(M) I."""
     n = len(rows)
-    return [[det * (-1) ** (i + j) * _int_det(
+    return [[(-1) ** (i + j) * _int_det(
                 [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
              for j in range(n)] for i in range(n)]
 
@@ -174,7 +178,7 @@ class LatticePolytope:
         self._facets = self._compute_facets(points_u)
         # a generating point is extreme iff its active facet normals span
         extreme = [(p, u) for p, u in zip(dedup, points_u)
-                   if self._active_rank(u) == self.dim]
+                   if Echelon.of(self._active(u)).dim == self.dim]
         self.vertices = tuple(p for p, _ in extreme)
         self._vertices_u = [u for _, u in extreme]
         self._antiblocking = None
@@ -221,11 +225,6 @@ class LatticePolytope:
         """Normals of the facets through the hull point u."""
         return [nrm for (nrm, off) in self._facets
                 if sum(a * b for a, b in zip(nrm, u)) == off]
-
-    def _active_rank(self, u):
-        if self.dim == 0:
-            return 0
-        return rank(Mat(self._active(u)))
 
     # -- facets ----------------------------------------------------------
 
@@ -363,12 +362,14 @@ class LatticePolytope:
         both in hull coordinates, or None.
 
         Vertices are tried in order.  A vertex qualifies when P is simple
-        there (exactly dim edges) and the primitive edge directions form a
-        lattice basis B (the columns of B, det +-1); Binv is B's inverse.
-        The image is antiblocking when every facet not through v pulls back
-        to a nonnegative normal.  Any antiblocking unimodular image sends
-        some vertex to 0 and its edges onto the axes, so the search is
-        complete.  Computed once per polytope.
+        there (it lies on exactly dim facets, and its neighbours are the
+        vertices that share dim - 1 of them) and the primitive edge
+        directions form a lattice basis B (the columns of B, det +-1);
+        Binv = det(B) adj(B) is B's inverse.  The image is antiblocking when
+        every facet not through v pulls back to a nonnegative normal.  Any
+        antiblocking unimodular image sends some vertex to 0 and its edges
+        onto the axes, so the search is complete.  Computed once per
+        polytope.
         """
         if self._corner is _UNKNOWN:
             self._corner = self._find_corner()
@@ -381,11 +382,11 @@ class LatticePolytope:
         verts_u = self._vertices_u
         active = [set(self._active(u)) for u in verts_u]
         for i, v in enumerate(verts_u):
+            if len(active[i]) != d:
+                continue
             edges = [_primitive(tuple(a - b for a, b in zip(w, v)))
                      for j, w in enumerate(verts_u)
-                     if j != i and rank(Mat(list(active[i] & active[j]))) == d - 1]
-            if len(edges) != d:
-                continue
+                     if len(active[i] & active[j]) == d - 1]
             B = [[e[k] for e in edges] for k in range(d)]   # edges as columns
             det = _int_det(B)
             if det not in (1, -1):
@@ -394,23 +395,17 @@ class LatticePolytope:
                    or all(sum(nrm[k] * B[k][j] for k in range(d)) >= 0
                           for j in range(d))
                    for (nrm, off) in self._facets):
-                return v, _int_inverse(B, det)
+                return v, [[det * a for a in row] for row in _adjugate(B)]
         return None
 
     def _check_antiblocking(self):
+        # by convexity, P is down-closed once it holds the projections
+        # v - v_i e_i of every vertex v
         if any(x < 0 for v in self.vertices for x in v):
             return False
-        n = self.ambient_dim
-        for v in self.vertices:
-            supp = [i for i in range(n) if v[i]]
-            for r in range(1, len(supp) + 1):
-                for sub in combinations(supp, r):
-                    z = list(v)
-                    for i in sub:
-                        z[i] = 0
-                    if not self.contains(z):
-                        return False
-        return True
+        return all(self.contains(v[:i] + (0,) + v[i + 1:])
+                   for v in self.vertices for i in range(self.ambient_dim)
+                   if v[i])
 
     def idp_check(self, m: int):
         """Whether lattice points of mP are m-fold sums of those of P.

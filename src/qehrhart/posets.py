@@ -69,7 +69,7 @@ def order_polytope(poset: Poset) -> LatticePolytope:
     for bits in iproduct((0, 1), repeat=poset.n):
         if all(bits[a] <= bits[b] for (a, b) in poset.covers):
             verts.append(bits)
-    return LatticePolytope(_drop_midpoints(verts))
+    return LatticePolytope(verts)
 
 
 def chain_polytope(poset: Poset) -> LatticePolytope:
@@ -79,19 +79,7 @@ def chain_polytope(poset: Poset) -> LatticePolytope:
         supp = [i for i in range(poset.n) if bits[i]]
         if poset.is_antichain(supp):
             verts.append(bits)
-    return LatticePolytope(_drop_midpoints(verts))
-
-
-def _drop_midpoints(points):
-    # 0/1 points are never proper convex combinations of other 0/1 points,
-    # but the check is cheap and guards the constructor's vertex invariant
-    out = []
-    for p in points:
-        mid = any(all(2 * p[i] == a[i] + b[i] for i in range(len(p)))
-                  for a, b in combinations(points, 2) if a != p and b != p)
-        if not mid:
-            out.append(p)
-    return out
+    return LatticePolytope(verts)
 
 
 def stanley_transfer(poset: Poset, g):

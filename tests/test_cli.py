@@ -1,10 +1,14 @@
 import json
 import os
+import random
 import re
+import subprocess
+import sys
 
 import pytest
 
-from qehrhart.cli import COMMANDS, main
+import qehrhart
+from qehrhart.cli import COMMANDS, main, parser
 from qehrhart.ehrhart import compute_record
 from qehrhart.jsonio import (RecordCache, record_in, record_out, polytope_in,
                              ratfun_in, ratfun_out)
@@ -194,6 +198,28 @@ class TestCommands:
         assert "Traceback" not in err
         assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
 
+    def test_parser_built_once(self, capsys):
+        # one parser serves every call in a process, and a failed or help
+        # call leaves nothing behind for the next one
+        assert parser() is parser()
+        with pytest.raises(SystemExit) as err:
+            main(["modp", "beta", "0", "2"])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["modp", "--help"])
+        assert err.value.code == 0
+        capsys.readouterr()
+        assert main(["modp", "beta", "2", "2"]) == 0
+        here = capsys.readouterr()
+        src = os.path.dirname(os.path.dirname(qehrhart.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qehrhart.cli", "modp", "beta", "2", "2"],
+            capture_output=True, text=True, env=env)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+            0, here.out, here.err)
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_lists_only_flags_read(self, command, capsys):
         with pytest.raises(SystemExit) as err:
@@ -251,6 +277,18 @@ class TestCommands:
         assert main(["equivariant", square_file, str(gf), "--max-m", "2"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["swap"][1] == [1, 0, 1]
+
+    def test_dense_group_matrix_exits_two(self, square_file, tmp_path,
+                                          capsys):
+        # the unimodularity check runs before any size check, so it must
+        # stay polynomial in the matrix size
+        rng = random.Random(3)
+        gf = tmp_path / "dense.json"
+        gf.write_text(json.dumps({"elements": [{"id": "dense", "matrix": [
+            [rng.randint(1, 9) for _ in range(12)] for _ in range(12)]}]}))
+        assert main(["equivariant", square_file, str(gf)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad group file")
 
     def test_verify_suites_quick(self, capsys):
         assert main(["verify", "closure", "--trials", "5"]) == 0

@@ -11,6 +11,7 @@ from qehrhart.corpora import CORPORA
 from qehrhart.ehrhart import (NotASimplexError, clear_memo, memo_stats,
                               verify_guess_expansion, weight_reciprocity_check)
 from qehrhart.harmonics import hilbert_qpoly
+from qehrhart.linalg import Mat, solve
 from qehrhart.qseries import BivarPoly, RatFun2, TQSeries
 from conftest import segment
 
@@ -25,6 +26,27 @@ def eliminated(P, m, interior=False):
     """The graded count by elimination, bypassing every shortcut."""
     pts = hull_locus(P, m, interior)
     return hilbert_qpoly(pts) if pts else QPoly.zero()
+
+
+def solved_simplex_numerators(P):
+    """Reference: one Fraction solve in the lifted vertex basis per lattice
+    point of the dilates 0..dim+1."""
+    d, n = P.dim, P.ambient_dim
+    cols = [(1,) + v for v in P.vertices]
+    M = Mat([[cols[j][i] for j in range(d + 1)] for i in range(n + 1)])
+
+    def collect(kmin, kmax, lo_ok, hi_ok):
+        terms = {}
+        for k in range(kmin, kmax + 1):
+            for z in P.lattice_points(k) if k else [(0,) * n]:
+                c = solve(M, [k] + list(z))
+                if all(lo_ok(x) and hi_ok(x) for x in c):
+                    terms[(k, sum(z))] = terms.get((k, sum(z)), 0) + 1
+        return BivarPoly(terms)
+
+    return (collect(0, d, lambda x: x >= 0, lambda x: x < 1),
+            collect(1, d + 1, lambda x: x > 0, lambda x: x <= 1),
+            tuple(sorted((1, sum(v)) for v in P.vertices)))
 
 
 def corner_image(P):
@@ -263,6 +285,24 @@ class TestSimplexNumerators:
     def test_refuses_non_simplex(self, unit_square):
         with pytest.raises(NotASimplexError):
             simplex_numerators(unit_square)
+
+    def test_matches_fraction_solves(self):
+        # every corpus simplex with nonnegative vertex weights, and random
+        # simplices with nonnegative vertices, lower-dimensional ones too
+        rng = random.Random(9)
+        cases = [r.polytope() for corpus in CORPORA.values() for r in corpus]
+        cases = [P for P in cases
+                 if P.is_simplex() and all(sum(v) >= 0 for v in P.vertices)]
+        assert len(cases) >= 60
+        assert any(P.dim < P.ambient_dim for P in cases)
+        while len(cases) < 100:
+            n = rng.randint(1, 4)
+            P = LatticePolytope([tuple(rng.randint(0, 2) for _ in range(n))
+                                 for _ in range(rng.randint(1, n + 1))])
+            if P.is_simplex():
+                cases.append(P)
+        for P in cases:
+            assert simplex_numerators(P) == solved_simplex_numerators(P)
 
 
 class TestGuess:

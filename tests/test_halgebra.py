@@ -28,13 +28,13 @@ NINE_GENERATORS = [
 class TestComponent:
     def test_case_triangle(self, case_triangle):
         c1 = component(case_triangle, 1)
-        assert c1.dims() == [1, 2, 1]
-        top = c1.basis.by_degree[2][0]
+        assert c1.hilbert().coeffs == [1, 2, 1]
+        top = c1.by_degree[2][0]
         assert top.terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
 
     def test_grade_zero(self, case_triangle):
         c0 = component(case_triangle, 0)
-        assert c0.dims() == [1]
+        assert c0.hilbert().coeffs == [1]
 
     def test_cleared_memo_recomputes(self, case_triangle):
         first = component(case_triangle, 2)
@@ -42,7 +42,7 @@ class TestComponent:
         clear_memo()
         again = component(case_triangle, 2)
         assert again is not first
-        assert again.basis.by_degree == first.basis.by_degree
+        assert again.by_degree == first.by_degree
 
     def test_cap_evicts_components(self, case_triangle, monkeypatch):
         monkeypatch.setattr(ehrhart, "MEMO_CAP", 3)
@@ -54,12 +54,12 @@ class TestComponent:
         assert ("component", case_triangle.vertices, 1) not in ehrhart._memo
         again = component(case_triangle, 1)
         assert again is not first
-        assert again.basis.by_degree == first.basis.by_degree
+        assert again.by_degree == first.by_degree
 
     def test_antiblocking_monomials(self, unit_square):
         c2 = component(unit_square, 2)
-        assert all(len(g.terms) == 1 for g in c2.basis.elements())
-        assert c2.basis.hilbert() == iq(unit_square, 2)
+        assert all(len(g.terms) == 1 for g in c2.elements())
+        assert c2.hilbert() == iq(unit_square, 2)
 
 
 class TestProductSpan:
@@ -153,7 +153,7 @@ class TestStructure:
         T = 5
         S = series_E(case_triangle, T)
         for m in range(T + 1):
-            assert component(case_triangle, m).basis.hilbert() == S.coeffs[m]
+            assert component(case_triangle, m).hilbert() == S.coeffs[m]
 
     def test_interior_ideal(self, case_triangle, unit_square):
         for P in (case_triangle, unit_square):

@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product as iproduct
+from math import gcd
 
 import pytest
 
 from qehrhart import LatticePolytope, PointLocus, minkowski_sum
+from qehrhart.corpora import CORPORA
+from qehrhart.polytope import _adjugate, _int_det
+from qehrhart.posets import all_posets, chain_polytope, order_polytope
 from conftest import segment
 
 
@@ -201,3 +207,212 @@ class TestLocus:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             minkowski_sum(PointLocus(1, [(0,)]), PointLocus(2, [(0, 0)]))
+
+
+# -- integer geometry against the Fraction routes it replaced ----------------
+
+def laplace_det(rows):
+    """Reference determinant: expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a
+               * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def fraction_rank(rows):
+    """Reference rank: Gauss–Jordan elimination over Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def ref_vertices(points):
+    """Generating points, in input order, whose active facet normals have
+    full rank (the constructor's filter, by a Fraction rank)."""
+    P = LatticePolytope(points)
+    return tuple(p for p in dict.fromkeys(tuple(p) for p in points)
+                 if fraction_rank(P._active(P.hull_coords(p))) == P.dim)
+
+
+def ref_drop_midpoints(points):
+    """The midpoint filter the poset constructors applied before."""
+    return [p for p in points
+            if not any(all(2 * p[i] == a[i] + b[i] for i in range(len(p)))
+                       for a, b in combinations(points, 2)
+                       if a != p and b != p)]
+
+
+def ref_corner_map(P):
+    """Corner search with edges found by the rank of shared facets and the
+    inverse by Laplace cofactors."""
+    d = P.dim
+    if d == 0:
+        return None
+    verts_u = [P.hull_coords(v) for v in P.vertices]
+    active = [set(P._active(u)) for u in verts_u]
+    for i, v in enumerate(verts_u):
+        edges = []
+        for j, w in enumerate(verts_u):
+            if j != i and fraction_rank(list(active[i] & active[j])) == d - 1:
+                e = [a - b for a, b in zip(w, v)]
+                g = reduce(gcd, e, 0)
+                edges.append(tuple(a // g for a in e))
+        if len(edges) != d:
+            continue
+        B = [[e[k] for e in edges] for k in range(d)]
+        det = laplace_det(B)
+        if det not in (1, -1):
+            continue
+        if all(off == sum(a * b for a, b in zip(nrm, v))
+               or all(sum(nrm[k] * B[k][j] for k in range(d)) >= 0
+                      for j in range(d))
+               for (nrm, off) in P.facets()):
+            return v, [[det * (-1) ** (r + c) * laplace_det(
+                [row[:r] + row[r + 1:] for k, row in enumerate(B) if k != c])
+                for c in range(d)] for r in range(d)]
+    return None
+
+
+def ref_antiblocking(P):
+    """Every vertex with any subset of its support set to zero lies in P."""
+    if any(x < 0 for v in P.vertices for x in v):
+        return False
+    for v in P.vertices:
+        supp = [i for i in range(len(v)) if v[i]]
+        for r in range(1, len(supp) + 1):
+            for sub in combinations(supp, r):
+                if not P.contains([0 if i in sub else x
+                                   for i, x in enumerate(v)]):
+                    return False
+    return True
+
+
+def random_unimodular(rng, n, steps=3):
+    """Identity under steps * n random integer row additions."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+def random_point_set(rng):
+    """Points base + sum c_k g_k in Z^n, n <= 4, with r <= n generators, so
+    lower-dimensional sets in higher ambient space occur."""
+    n = rng.randint(1, 4)
+    base = [rng.randint(-3, 3) for _ in range(n)]
+    gens = [[rng.randint(-2, 2) for _ in range(n)]
+            for _ in range(rng.randint(0, n))]
+    return [tuple(b + sum(rng.randint(-2, 2) * g[i] for g in gens)
+                  for i, b in enumerate(base))
+            for _ in range(rng.randint(1, n + 4))]
+
+
+def poset_generators(poset, kind):
+    """0/1 generating points of the order (filters) or chain (antichains)
+    polytope."""
+    bits = iproduct((0, 1), repeat=poset.n)
+    if kind == "order":
+        return [b for b in bits
+                if all(b[x] <= b[y] for (x, y) in poset.covers)]
+    return [b for b in bits
+            if poset.is_antichain([i for i in range(poset.n) if b[i]])]
+
+
+def geometry_cases(family):
+    """(generating points, polytope built by the package) pairs."""
+    rng = random.Random(11)
+    rows = [r for corpus in CORPORA.values() for r in corpus]
+    if family == "corpus":
+        return [(r.vertices, r.polytope()) for r in rows]
+    if family == "posets":
+        return [(ref_drop_midpoints(poset_generators(ps, kind)), build(ps))
+                for n in range(1, 5) for ps in all_posets(n)
+                for kind, build in (("order", order_polytope),
+                                    ("chain", chain_polytope))]
+    if family == "random":
+        # the doubled 4-dimensional cross-polytope with an edge midpoint,
+        # which lies on four facets and is no vertex, then random sets
+        cross = [tuple(2 * s * (j == i) for j in range(4))
+                 for i in range(4) for s in (1, -1)]
+        sets = [cross + [(1, 1, 0, 0)]]
+        sets += [random_point_set(rng) for _ in range(240)]
+        return [(pts, LatticePolytope(pts)) for pts in sets]
+    cases = []
+    for _ in range(90):   # unimodular images
+        P = rng.choice(rows).polytope()
+        A = random_unimodular(rng, P.ambient_dim)
+        Q = P.affine_image(A, [rng.randint(-3, 3) for _ in A])
+        cases.append((Q.vertices, Q))
+    return cases
+
+
+class TestIntegerGeometry:
+    @pytest.mark.parametrize("family", ["corpus", "posets", "random",
+                                        "images"])
+    def test_matches_fraction_routes(self, family):
+        cases = geometry_cases(family)
+        assert len(cases) >= 24
+        for pts, P in cases:
+            assert P.vertices == ref_vertices(pts)
+            assert P.corner_map() == ref_corner_map(P)
+            assert P.is_antiblocking() == ref_antiblocking(P)
+
+    def test_int_det_and_adjugate(self):
+        rng = random.Random(5)
+        for trial in range(400):
+            n = trial % 7
+            span = rng.choice([(-4, 4), (0, 1), (-1, 1)])
+            M = [[rng.randint(*span) if rng.random() < 0.7 else 0
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 3 == 0:   # singular: a multiple of a row
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                M[i] = [c * a for a in M[j]]
+            det = _int_det(M)
+            assert det == laplace_det(M)
+            adj = _adjugate(M)
+            assert [[sum(M[i][k] * adj[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)] == \
+                [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+class TestUnimodularEmbedding:
+    def test_enumeration_and_hull_coords(self):
+        # lattice points of m(AP + b) are A(mP) + mb, interior ones too,
+        # for a lattice-preserving embedding z -> Az + b of Z^d into Z^n
+        rng = random.Random(23)
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            n = rng.randint(d, 4)
+            P = LatticePolytope([(0,) * d])
+            while P.dim < d:
+                P = LatticePolytope([tuple(rng.randint(0, 3) for _ in range(d))
+                                     for _ in range(rng.randint(d + 1, d + 3))])
+            A = [row[:d] for row in random_unimodular(rng, n, steps=1)]
+            b = [rng.randint(-3, 3) for _ in range(n)]
+            Q = P.affine_image(A, b)
+            for m in (1, 2, 3):
+                def image(z):
+                    return tuple(sum(a * x for a, x in zip(row, z)) + m * c
+                                 for row, c in zip(A, b))
+                pts = Q.lattice_points(m).points
+                assert pts == tuple(sorted(map(image, P.lattice_points(m))))
+                assert Q.interior_lattice_points(m).points == tuple(
+                    sorted(map(image, P.interior_lattice_points(m))))
+                mQ = Q.dilate(m)
+                for y in pts:
+                    assert mQ.contains(y)
+                    assert Q.hull_coords(y, scale=m) is not None
