@@ -27,25 +27,19 @@ from .qseries import QPoly, denominator_search
 from .halgebra import chain_order_equality
 
 
-def _load_json(path):
+class InputError(Exception):
+    """Bad input: ``main`` prints ``error: <message>`` and returns 2."""
+
+
+def _load(path, reader, what):
+    """``reader`` applied to the JSON in ``path``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return reader(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
-def _bad(what, exc):
-    print(f"error: bad {what} file: {exc}", file=sys.stderr)
-    return 2
-
-
-def _load_polytope(path):
-    try:
-        return jsonio.polytope_in(_load_json(path))
+        raise InputError(f"cannot read {path}: {exc}") from None
     except (ValueError, TypeError, KeyError) as exc:
-        sys.exit(_bad("polytope", exc))
+        raise InputError(f"bad {what} file: {exc}") from None
 
 
 def _emit(obj, out):
@@ -82,7 +76,7 @@ def _cached_record(args, P, config, **kwargs):
 
 
 def cmd_compute(args, interior_only=False):
-    P = _load_polytope(args.polytope)
+    P = _load(args.polytope, jsonio.polytope_in, "polytope")
     obj = jsonio.record_out(_cached_record(args, P, {"command": "compute"}))
     if interior_only:
         obj = {"polytope": obj["polytope"], "T": obj["T"],
@@ -96,7 +90,7 @@ def cmd_interior(args):
 
 
 def cmd_guess(args):
-    P = _load_polytope(args.polytope)
+    P = _load(args.polytope, jsonio.polytope_in, "polytope")
     bounds = {k: v for k, v in (("b_max", args.den_b_max),
                                 ("a_max", args.den_a_max),
                                 ("nu_max", args.nu_max)) if v is not None}
@@ -289,25 +283,19 @@ def cmd_verify(args):
 
 
 def cmd_equivariant(args):
-    P = _load_polytope(args.polytope)
-    try:
-        elements = jsonio.group_in(_load_json(args.group))
-    except (ValueError, TypeError, KeyError) as exc:
-        return _bad("group", exc)
+    P = _load(args.polytope, jsonio.polytope_in, "polytope")
+    elements = _load(args.group, jsonio.group_in, "group")
     try:
         out = {g.id: [jsonio.qpoly_out(graded_character(P, g, m))
                       for m in range(args.max_m + 1)] for g in elements}
     except NotASymmetryError as exc:
-        return _bad("group", exc)
+        raise InputError(f"bad group file: {exc}") from None
     _emit(out, args.out)
     return 0
 
 
 def cmd_poset(args):
-    try:
-        poset = jsonio.poset_in(_load_json(args.poset))
-    except (ValueError, TypeError, KeyError) as exc:
-        return _bad("poset", exc)
+    poset = _load(args.poset, jsonio.poset_in, "poset")
     if args.kind == "order":
         _emit(jsonio.polytope_out(order_polytope(poset)), args.out)
     elif args.kind == "chain":
@@ -317,8 +305,7 @@ def cmd_poset(args):
             g = [int(x) for x in args.point.split(",")]
             img = stanley_transfer(poset, g)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise InputError(exc) from None
         _emit({"point": g, "image": list(img)}, args.out)
     return 0
 
@@ -411,6 +398,9 @@ def main(argv=None):
     args = parser().parse_args(argv)
     try:
         return args.run(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

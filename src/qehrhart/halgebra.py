@@ -1,7 +1,8 @@
 """The bigraded algebra of dual spaces over the dilates of a polytope:
-graded components, product spans, generation-from-a-cutoff reports,
-subalgebra Hilbert series against supplied generators, and the equality
-test for the two poset polytopes.
+graded components, product spans, Hilbert series of the subalgebra
+generated by supplied elements, generation-from-a-cutoff reports (the
+subalgebra generated by the components of the low grades, set against each
+component), and the equality test for the two poset polytopes.
 
 Components are stored without materializing the bookkeeping variable for
 the dilation grade: each is the dual space of one dilate, memoised under
@@ -82,32 +83,30 @@ class GenerationReport:
 
 
 def generation_check(P: LatticePolytope, m0: int, T=None) -> GenerationReport:
-    """Iteratively close the span of components with grade <= m0 up to grade T."""
+    """Compare each component V_m, m <= T, with the subalgebra A generated
+    by the components of grades <= m0 (``subalgebra_hilbert``).
+
+    A is the pairwise closure A_m = sum_(i <= m/2) A_i A_(m-i): products
+    commute and a product of r >= 2 generators is one generator times the
+    rest, so for m > m0 that sum is sum_(k <= m0) V_k A_(m-k).  For m <= m0,
+    A_m holds V_m (k = m, times the unit) and lies in it, as products of
+    components land in the component of the sum grade (mP + m'P = (m+m')P).
+    """
     if T is None:
         T = 2 * m0 + 4
     if m0 > T:
         raise ValueError("cutoff beyond horizon")
+    S = subalgebra_hilbert(P, [(k, g) for k in range(1, m0 + 1)
+                               for g in component(P, k).elements()], T)
     report = GenerationReport(cutoff=m0, horizon=T)
-    G = {0: component(P, 0).by_degree}   # grade -> products kept, by degree
     for m in range(1, T + 1):
-        if m <= m0:
-            G[m] = component(P, m).by_degree
-            report.per_degree_status[m] = True
-            continue
-        span = {}
-        for i in range(1, m // 2 + 1):
-            span_products(G[i], G[m - i], span=span)
-        G[m] = {d: kept for d, (_, kept) in span.items()}
-        ok = True
-        for d, polys in enumerate(component(P, m).by_degree):
-            want = len(polys)
-            have = len(G[m].get(d, ()))
-            if have > want:
-                raise InconsistencyError("span exceeds the component")
-            if have < want:
-                ok = False
-                report.missing_dims[(m, d)] = want - have
-        report.per_degree_status[m] = ok
+        deficits = {(m, d): len(polys) - S[m][d]
+                    for d, polys in enumerate(component(P, m).by_degree)}
+        if min(deficits.values()) < 0:
+            raise InconsistencyError("span exceeds the component")
+        missing = {key: k for key, k in deficits.items() if k}
+        report.missing_dims.update(missing)
+        report.per_degree_status[m] = not missing
     return report
 
 
@@ -118,25 +117,25 @@ def subalgebra_hilbert(P: LatticePolytope, gens, T: int) -> TQSeries:
     variables) and must lie in the component of its grade.
     """
     n = component(P, 0).n
-    checked = []
+    by_grade = {}   # grade >= 1 -> degree -> generators
     for (m, g) in gens:
         if not g.is_homogeneous():
             raise NotInComponentError("generators must be homogeneous")
         d = g.degree()
         basis = component(P, m).by_degree
-        if d > 0 or m > 0:
-            if not (0 <= d < len(basis)) or not degree_echelon(
-                    basis[d], d).contains(coord_row(g, d)):
-                raise NotInComponentError(f"generator not in component {m}: {g!r}")
-        checked.append((m, d, g))
+        if (d > 0 or m > 0) and not (0 <= d < len(basis) and degree_echelon(
+                basis[d], d).contains(coord_row(g, d))):
+            raise NotInComponentError(f"generator not in component {m}: {g!r}")
+        if m > 0:
+            by_grade.setdefault(m, {}).setdefault(d, []).append(g)
     # close under products, grade by grade
     G = {0: {0: [MultiPoly.constant(n, 1)]}}   # grade -> products kept, by degree
     for m in range(1, T + 1):
         span = {}
-        for (k, dg, g) in checked:
-            if k == 0 or k > m:
-                continue
-            span_products({dg: [g]}, G.get(m - k, {}), span=span)
+        for k, gens_k in sorted(by_grade.items()):
+            if k > m:
+                break
+            span_products(gens_k, G[m - k], span=span)
         G[m] = {d: kept for d, (_, kept) in span.items()}
     return TQSeries([QPoly.from_degrees(d for d, kept in G[m].items()
                                         for _ in kept)
@@ -152,17 +151,11 @@ def chain_order_equality(poset: Poset, M: int) -> bool:
     O = order_polytope(poset)
     C = chain_polytope(poset)
     for m in range(1, M + 1):
-        zo = O.lattice_points(m)
-        zc = C.lattice_points(m)
-        if zo != zc:
-            if harmonic_basis(zo).by_degree != harmonic_basis(zc).by_degree:
-                return False
-        zo_i = O.interior_lattice_points(m)
-        zc_i = C.interior_lattice_points(m)
-        if zo_i != zc_i:
-            if len(zo_i) != len(zc_i):
-                return False
-            if harmonic_basis(zo_i).by_degree != harmonic_basis(zc_i).by_degree:
+        for zo, zc in ((O.lattice_points(m), C.lattice_points(m)),
+                       (O.interior_lattice_points(m),
+                        C.interior_lattice_points(m))):
+            if zo != zc and (len(zo) != len(zc) or harmonic_basis(zo).by_degree
+                             != harmonic_basis(zc).by_degree):
                 return False
     return True
 

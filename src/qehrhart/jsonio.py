@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 from .equivariant import GroupElement
@@ -26,7 +27,19 @@ def int_out(v):
 
 
 def int_in(v):
-    return int(v)
+    """The one integer reader: an int that is not a bool, or a decimal
+    string (``int_out``'s form of large values); 1.5 or true is refused."""
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _ints(v):
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of integers, got {v!r}")
+    return tuple(int_in(x) for x in v)
 
 
 def qpoly_out(p: QPoly):
@@ -50,8 +63,8 @@ def ratfun_out(R: RatFun2):
 
 
 def ratfun_in(obj):
-    num = {(int(t), int(q)): int_in(c) for (t, q, c) in obj["num"]}
-    return RatFun2(BivarPoly(num), [tuple(f) for f in obj["den"]])
+    num = {(int_in(t), int_in(q)): int_in(c) for (t, q, c) in obj["num"]}
+    return RatFun2(BivarPoly(num), [_ints(f) for f in obj["den"]])
 
 
 def polytope_out(P: LatticePolytope):
@@ -64,16 +77,15 @@ def polytope_in(obj):
     verts = obj["vertices"]
     if not verts:
         raise ValueError("empty vertex list")
-    return LatticePolytope(verts, name=obj.get("name"))
+    return LatticePolytope([_ints(v) for v in verts], name=obj.get("name"))
 
 
 def poset_in(obj):
-    return Poset(int(obj["n"]), [tuple(c) for c in obj.get("covers", [])])
+    return Poset(int_in(obj["n"]), [_ints(c) for c in obj.get("covers", [])])
 
 
 def group_in(obj):
-    return [GroupElement(e["id"], tuple(tuple(int(x) for x in row)
-                                        for row in e["matrix"]))
+    return [GroupElement(e["id"], tuple(_ints(row) for row in e["matrix"]))
             for e in obj["elements"]]
 
 
@@ -96,8 +108,8 @@ def record_in(obj):
     from .ehrhart import QEhrhartRecord
     rec = QEhrhartRecord(
         name=obj["polytope"]["name"],
-        vertices=tuple(tuple(v) for v in obj["polytope"]["vertices"]),
-        T=int(obj["T"]),
+        vertices=tuple(_ints(v) for v in obj["polytope"]["vertices"]),
+        T=int_in(obj["T"]),
         iq=[qpoly_in(p) for p in obj["iq"]],
         iq_interior=[qpoly_in(p) for p in obj["iqInterior"]],
         verification=obj.get("verification", {}).get("level", "none"),
@@ -140,8 +152,8 @@ class RecordCache:
         try:
             with open(self.path(key)) as fh:
                 return record_in(json.load(fh))
-        except (OSError, ValueError, KeyError):
-            return None
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None  # unreadable or corrupt: a miss
 
     def store(self, key, rec):
         if not self.directory:

@@ -10,8 +10,8 @@ import pytest
 import qehrhart
 from qehrhart.cli import COMMANDS, main, parser
 from qehrhart.ehrhart import compute_record
-from qehrhart.jsonio import (RecordCache, record_in, record_out, polytope_in,
-                             ratfun_in, ratfun_out)
+from qehrhart.jsonio import (RecordCache, int_in, record_in, record_out,
+                             polytope_in, ratfun_in, ratfun_out)
 from qehrhart.qseries import BivarPoly, RatFun2
 
 
@@ -57,6 +57,11 @@ BAD_INPUTS = [
     ["table", "fig1", "--jobs", "0"],
     ["verify", "closure", "--jobs", "-1"],
     ["modp", "closure", "--jobs", "0"],
+    ["compute", "FLOATV"],
+    ["compute", "BOOLV"],
+    ["compute", "STRV"],
+    ["equivariant", "SQUARE", "FLOATG"],
+    ["poset", "order", "FLOATN"],
 ]
 
 
@@ -117,6 +122,18 @@ class TestCache:
         assert cache.load(cache.key(unit_square, 3)) is None
 
 
+class TestIntegerInput:
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, False, None, "1.5",
+                                       "1e3", " 12", [1], {}])
+    def test_int_in_refuses(self, value):
+        with pytest.raises(ValueError):
+            int_in(value)
+
+    def test_int_in_reads_ints_and_decimal_strings(self):
+        assert [int_in(v) for v in (0, -7, "12", "-3", str(2 ** 80))] == [
+            0, -7, 12, -3, 2 ** 80]
+
+
 class TestCommands:
     def test_compute(self, square_file, capsys):
         assert main(["compute", square_file, "--max-t", "3"]) == 0
@@ -164,6 +181,26 @@ class TestCommands:
         assert out == dict(json.loads(fresh),
                            polytope=dict(obj, name="renamed-square"))
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda rec: [1, 2],
+        lambda rec: dict(rec, verification="none"),
+        lambda rec: dict(rec, iq=None)], ids=["list", "string-level", "no-iq"])
+    def test_corrupt_cache_entry_is_a_miss(self, corrupt, square_file,
+                                           tmp_path, capsys):
+        argv = ["compute", square_file, "--max-t", "3"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        cachedir = tmp_path / "cache"
+        argv += ["--cache", str(cachedir)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [entry] = cachedir.iterdir()
+        good = entry.read_text()
+        entry.write_text(json.dumps(corrupt(json.loads(good))))
+        assert main(argv) == 0
+        assert capsys.readouterr() == cold
+        assert entry.read_text() == good
+
     def test_guess_uses_cache(self, square_file, tmp_path, capsys,
                               monkeypatch):
         cachedir = str(tmp_path / "cache")
@@ -189,6 +226,15 @@ class TestCommands:
             {"id": "swap", "matrix": [[0, 1], [1, 0]]}]}))
         files["SHEAR"].write_text(json.dumps({"elements": [
             {"id": "shear", "matrix": [[1, 1], [0, 1]]}]}))
+        for name, obj in {
+                "FLOATV": {"vertices": [[0, 0], [1.5, 0], [0, 1]]},
+                "BOOLV": {"vertices": [[0, 0], [True, 0], [0, 1]]},
+                "STRV": {"vertices": [[0, 0], "12", [0, 1]]},
+                "FLOATG": {"elements": [{"id": "swap",
+                                         "matrix": [[0, 1.7], [1, 0]]}]},
+                "FLOATN": {"n": 2.5, "covers": [[0, 1]]}}.items():
+            files[name] = tmp_path / (name.lower() + ".json")
+            files[name].write_text(json.dumps(obj))
         try:
             code = main([str(files.get(a, a)) for a in argv])
         except SystemExit as exc:

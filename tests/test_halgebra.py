@@ -1,13 +1,17 @@
+import random
 from math import comb
 
 import pytest
 
-from qehrhart import (MultiPoly, Poset, chain_order_equality, component,
-                      generation_check, iq, product_span, series_E,
-                      subalgebra_hilbert)
+from qehrhart import (LatticePolytope, MultiPoly, Poset, chain_order_equality,
+                      component, corpora, generation_check, iq, product_span,
+                      series_E, subalgebra_hilbert)
 from qehrhart import ehrhart
 from qehrhart.ehrhart import clear_memo
-from qehrhart.halgebra import NotInComponentError, interior_ideal_check
+from qehrhart.halgebra import (GenerationReport, NotInComponentError,
+                               interior_ideal_check)
+from qehrhart.harmonics import InconsistencyError, span_products
+from qehrhart.qseries import QPoly, TQSeries
 
 
 def y(e1, e2, c=1):
@@ -134,6 +138,83 @@ class TestSubalgebra:
     def test_rejects_outside_component(self, case_triangle):
         with pytest.raises(NotInComponentError):
             subalgebra_hilbert(case_triangle, [(1, y(2, 0))], 3)
+
+
+def pairwise_generation_check(P, m0, T):
+    """Reference: the pairwise closure A_m = sum over i <= m/2 of
+    A_i A_(m-i), with A_m = V_m for m <= m0."""
+    report = GenerationReport(cutoff=m0, horizon=T)
+    G = {0: component(P, 0).by_degree}
+    for m in range(1, T + 1):
+        if m <= m0:
+            G[m] = component(P, m).by_degree
+            report.per_degree_status[m] = True
+            continue
+        span = {}
+        for i in range(1, m // 2 + 1):
+            span_products(G[i], G[m - i], span=span)
+        G[m] = {d: kept for d, (_, kept) in span.items()}
+        ok = True
+        for d, polys in enumerate(component(P, m).by_degree):
+            want = len(polys)
+            have = len(G[m].get(d, ()))
+            if have > want:
+                raise InconsistencyError("span exceeds the component")
+            if have < want:
+                ok = False
+                report.missing_dims[(m, d)] = want - have
+        report.per_degree_status[m] = ok
+    return report
+
+
+def per_generator_subalgebra(P, gens, T):
+    """Reference: the closure that multiplies by one generator at a time."""
+    n = component(P, 0).n
+    G = {0: {0: [MultiPoly.constant(n, 1)]}}
+    for m in range(1, T + 1):
+        span = {}
+        for (k, g) in gens:
+            if 0 < k <= m:
+                span_products({g.degree(): [g]}, G[m - k], span=span)
+        G[m] = {d: kept for d, (_, kept) in span.items()}
+    return TQSeries([QPoly.from_degrees(d for d, kept in G[m].items()
+                                        for _ in kept)
+                     for m in range(T + 1)], T)
+
+
+def corpus_polytope(key):
+    return next(row.polytope() for rows in corpora.CORPORA.values()
+                for row in rows if row.key == key)
+
+
+CASE = [(0, 0), (1, 2), (2, 1)]
+GENERATION_CASES = [(CASE, m0, T) for (m0, T) in
+                    ((0, 3), (1, 4), (1, 5), (2, 5), (2, 6), (2, 8), (3, 8))] + [
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], 1, 6),
+    ("area4-kite", 1, 5),
+    ([(-1, 0), (1, 2), (2, -1)], 2, 7),
+    ("area3-triangle-steep", 1, 6),
+    ([(0,), (3,)], 1, 6),
+    ("reeve-1", 1, 3),
+]
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("verts, m0, T", GENERATION_CASES,
+                             ids=lambda v: str(v).replace(" ", ""))
+    def test_generation_matches_pairwise(self, verts, m0, T):
+        P = (corpus_polytope(verts) if isinstance(verts, str)
+             else LatticePolytope(verts))
+        assert (generation_check(P, m0, T).to_json()
+                == pairwise_generation_check(P, m0, T).to_json())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subalgebra_independent_of_order(self, case_triangle, seed):
+        gens = list(NINE_GENERATORS[:6])
+        random.Random(seed).shuffle(gens)
+        S = subalgebra_hilbert(case_triangle, gens, 6)
+        assert S == subalgebra_hilbert(case_triangle, NINE_GENERATORS[:6], 6)
+        assert S == per_generator_subalgebra(case_triangle, gens, 6)
 
 
 class TestChainOrder:
