@@ -18,7 +18,8 @@ from multiprocessing import Pool
 from . import corpora, jsonio
 from .ehrhart import (check_dilation, check_join, check_product,
                       classical_check, compute_record, iq, series_E)
-from .equivariant import GroupElement, NotASymmetryError, graded_character
+from .equivariant import (GroupElement, NotASymmetryError, fixed_point_count,
+                          graded_character)
 from .harmonics import InconsistencyError, closure_check
 from .modp import beta_bound, closure_check_modp
 from .polytope import LatticePolytope, PointLocus
@@ -101,10 +102,10 @@ def cmd_guess(args):
 
 
 def _table_row(job):
-    key, verts, form_obj, provenance, T = job
-    row_form = jsonio.ratfun_in(form_obj) if form_obj else None
-    P = LatticePolytope(verts, name=key)
-    S = series_E(P, T)
+    corpus, index, T = job
+    row = corpora.CORPORA[corpus][index]
+    key, row_form, provenance = row.key, row.form, row.provenance
+    S = series_E(row.polytope(), T)
     if row_form is None:
         return (key, "unknown", [jsonio.qpoly_out(c) for c in S.coeffs])
     ok = row_form.expand(T) == S
@@ -133,9 +134,8 @@ def cmd_table(args):
     default_t = {"fig1": 10, "fig2": 10, "fig3": 10,
                  "closedforms": 8, "extradata": 6}[args.corpus]
     T = args.max_t if args.max_t is not None else default_t
-    jobs = [(r.key, r.vertices,
-             jsonio.ratfun_out(r.form) if r.form else None, r.provenance, T)
-            for r in corpora.CORPORA[args.corpus]]
+    jobs = [(args.corpus, i, T)
+            for i in range(len(corpora.CORPORA[args.corpus]))]
     results = _map(_table_row, jobs, args.jobs)
     failures = 0
     for key, status, payload in results:
@@ -241,8 +241,7 @@ def _verify_equivariant(args):
         neg = GroupElement("neg", ((-1,),))
         for m in range(0, 4):
             ch = graded_character(seg, neg, m)
-            fixed = sum(1 for z in seg.lattice_points(m) if z[0] == -z[0])
-            if ch(1) != fixed or graded_character(
+            if ch(1) != fixed_point_count(seg, neg, m) or graded_character(
                     seg, GroupElement("e", ((1,),)), m) != iq(seg, m):
                 print(f"equivariant: segment b={b} m={m}: FAIL")
                 bad += 1

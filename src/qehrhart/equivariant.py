@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .halgebra import component
-from .harmonics import InconsistencyError, MultiPoly, coord_row, degree_echelon
+from .harmonics import InconsistencyError, MultiPoly
 from .polytope import LatticePolytope, _int_det
 from .qseries import QPoly
 
@@ -77,18 +77,18 @@ def graded_character(P: LatticePolytope, g: GroupElement, m: int) -> QPoly:
     """
     if not stabilizer_check(P, g):
         raise NotASymmetryError(f"{g.id} does not stabilize the polytope")
+    V = component(P, m)
     traces = []
-    for d, basis in enumerate(component(P, m).by_degree):
+    for d, basis in enumerate(V.by_degree):
         # the basis is in reduced echelon form over grlex-descending monomials,
         # so an element's coordinate is the image's coefficient at its
         # leading monomial
-        ech = degree_echelon(basis, d)
         tr = Fraction(0)
         for b in basis:
             img = _substitute(b, g.matrix)
             if any(sum(mo) != d for mo in img.terms):
                 raise InconsistencyError("image leaves the degree piece")
-            if not ech.contains(coord_row(img, d)):
+            if not V.contains(img):
                 raise InconsistencyError("image leaves the dual space")
             tr += img.terms.get(b.leading_monomial(), 0)
         traces.append(tr)

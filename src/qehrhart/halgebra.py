@@ -7,7 +7,10 @@ component), and the equality test for the two poset polytopes.
 Components are stored without materializing the bookkeeping variable for
 the dilation grade: each is the dual space of one dilate, memoised under
 (vertices, m), and its grade m plus products in the dual variables
-reproduce the bigrading.
+reproduce the bigrading.  Spans of products come from
+``harmonics.span_products``; every product or generator is tested against
+a dual space by that space (``HarmonicBasis.contains``), whose echelons
+stay with the memoised component.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from dataclasses import dataclass, field
 
 from .ehrhart import iq, memoised
 from .harmonics import (HarmonicBasis, InconsistencyError, MultiPoly,
-                        coord_row, degree_echelon, harmonic_basis,
-                        span_products)
+                        harmonic_basis, span_products)
 from .polytope import LatticePolytope
 from .posets import Poset, chain_polytope, order_polytope
 from .qseries import QPoly, TQSeries
@@ -48,8 +50,8 @@ def product_span(P: LatticePolytope, m: int, mp: int):
     A = component(P, m)
     B = component(P, mp)
     C = component(P, m + mp)
-    span, escape = span_products(A.by_degree, B.by_degree,
-                                 target=C.by_degree, span={})
+    span = span_products(A.by_degree, B.by_degree)
+    escape = C.first_outside(span)
     if escape is not None:
         raise InconsistencyError(
             f"product escapes the target component: {escape!r}")
@@ -121,13 +123,10 @@ def subalgebra_hilbert(P: LatticePolytope, gens, T: int) -> TQSeries:
     for (m, g) in gens:
         if not g.is_homogeneous():
             raise NotInComponentError("generators must be homogeneous")
-        d = g.degree()
-        basis = component(P, m).by_degree
-        if (d > 0 or m > 0) and not (0 <= d < len(basis) and degree_echelon(
-                basis[d], d).contains(coord_row(g, d))):
+        if not component(P, m).contains(g):
             raise NotInComponentError(f"generator not in component {m}: {g!r}")
         if m > 0:
-            by_grade.setdefault(m, {}).setdefault(d, []).append(g)
+            by_grade.setdefault(m, {}).setdefault(g.degree(), []).append(g)
     # close under products, grade by grade
     G = {0: {0: [MultiPoly.constant(n, 1)]}}   # grade -> products kept, by degree
     for m in range(1, T + 1):
@@ -170,6 +169,5 @@ def interior_ideal_check(P: LatticePolytope, m: int, mp: int) -> bool:
     Vbar = harmonic_basis(locus)
     target_locus = P.interior_lattice_points(m + mp)
     Vbar_target = harmonic_basis(target_locus)
-    _, escape = span_products(A.by_degree, Vbar.by_degree,
-                              target=Vbar_target.by_degree)
-    return escape is None
+    return Vbar_target.first_outside(
+        span_products(A.by_degree, Vbar.by_degree)) is None

@@ -1,23 +1,23 @@
 """Vanishing ideals of finite integer point sets, their associated graded
 ideals, and the dual (inverse-system) spaces under the differentiation
-pairing.  Everything runs in exact arithmetic with graded lex order,
-x1 > x2 > ... throughout.  The pipeline from points to dual bases serves
-both fields: its argument ``p`` is 0 for Q, or a prime for F_p.
+pairing, in exact arithmetic with graded lex order, x1 > x2 > ...
+throughout.  The pipeline from points to dual bases serves both fields:
+its argument ``p`` is 0 for Q, or a prime for F_p.
 
-The Gröbner basis of a vanishing ideal is computed by incremental echelon
-reduction of evaluation vectors, processing monomials in graded lex order
-until the standard monomials span all point evaluations.  Each monomial
-x^a is represented by its Newton monomial over interpolation nodes taken
-from the points, which spans the same spaces in that order and evaluates
-to sparse, nearly triangular rows.  A classical S-polynomial algorithm over
-an independent generating set is provided as a small-instance cross-check.
+Gröbner bases of vanishing ideals come from incremental echelon reduction
+of evaluation rows, monomials taken in graded lex order until the standard
+monomials span all point evaluations; each monomial's row is its Newton
+monomial over nodes taken from the points (``_run_bm``).  A classical
+S-polynomial algorithm is a small-instance cross-check.  Products of dual
+spaces are spanned by ``span_products``, and a dual space tests membership
+in itself (``HarmonicBasis.contains``).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -413,7 +413,8 @@ def gr_component(Z, d, _gb=None, p=0):
 
 @dataclass
 class HarmonicBasis:
-    """Degreewise bases of the dual space of the associated graded ideal.
+    """Degreewise bases of the dual space of the associated graded ideal,
+    over Q (``p = 0``) or F_p.
 
     Elements are polynomials in the dual (y) variables, normalized to
     reduced echelon form against grlex-descending monomial coordinates over
@@ -422,6 +423,9 @@ class HarmonicBasis:
 
     n: int
     by_degree: list  # index d -> list of homogeneous MultiPoly
+    p: int = 0
+    _echelons: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def dimension(self):
         return sum(len(b) for b in self.by_degree)
@@ -432,6 +436,25 @@ class HarmonicBasis:
     def elements(self):
         for bs in self.by_degree:
             yield from bs
+
+    def contains(self, f) -> bool:
+        """Whether the homogeneous polynomial f lies in the space (against
+        its degree's echelon, built on first use and kept)."""
+        if f.is_zero():
+            return True
+        d = f.degree()
+        if d not in self._echelons:
+            basis = self.by_degree[d] if d < len(self.by_degree) else ()
+            self._echelons[d] = Echelon.of((coord_row(g, d) for g in basis),
+                                           self.p)
+        return self._echelons[d].contains(coord_row(f, d))
+
+    def first_outside(self, span):
+        """The first product kept in a ``span_products`` span that is not in
+        the space, or None.  Kept products span all products, so None holds
+        exactly when every product lies in the space."""
+        return next((f for _, kept in span.values() for f in kept
+                     if not self.contains(f)), None)
 
 
 def _is_shifted(points):
@@ -464,7 +487,7 @@ def harmonic_basis(Z, p=0) -> HarmonicBasis:
         by_degree = [[] for _ in range(top + 1)]
         for z in sorted(points, key=grlex_key, reverse=True):
             by_degree[sum(z)].append(MultiPoly(n, {z: 1}))
-        return HarmonicBasis(n, by_degree)
+        return HarmonicBasis(n, by_degree, p)
     gb = gr_ideal(points, p)
     counts = QPoly.from_degrees(sum(m) for m in gb.standard_monomials)
     by_degree = []
@@ -481,7 +504,7 @@ def harmonic_basis(Z, p=0) -> HarmonicBasis:
             ech, piv = rref(Mat(kernel))
             kernel = ech.entries[:len(piv)]
         by_degree.append([MultiPoly(n, dict(zip(mons, v))) for v in kernel])
-    hb = HarmonicBasis(n, by_degree)
+    hb = HarmonicBasis(n, by_degree, p)
     if hb.dimension() != len(points):
         raise InconsistencyError("dual space dimension differs from locus size")
     if hb.hilbert() != counts:
@@ -508,33 +531,20 @@ def apolarity_pair(f: MultiPoly, g: MultiPoly) -> Fraction:
 
 # -- spans of products ------------------------------------------------------
 
-def degree_echelon(polys, d, p=0):
-    """Echelon of the coordinate rows of degree-d polynomials."""
-    return Echelon.of((coord_row(f, d) for f in polys), p)
-
-
 def _by_degree(polys):
     return polys.items() if isinstance(polys, dict) else enumerate(polys)
 
 
-def span_products(A, B, target=None, mul=MultiPoly.__mul__, p=0, span=None):
+def span_products(A, B, mul=MultiPoly.__mul__, p=0, span=None):
     """Span of the products mul(f, g), f in A[d1] and g in B[d2], in degree
     d1 + d2, over Q (``p = 0``) or F_p.
 
-    A, B and ``target`` hold homogeneous polynomials by degree (a list, or a
-    dict degree -> list).  Nonzero products are added to ``span``, a dict
-    degree -> (Echelon, the products it accepted).  Returns (span, escape),
-    where escape is the first product outside the span of ``target`` in its
-    degree, or None.  When ``target`` is given without ``span`` only the
-    membership test runs, and it stops at the first escape.
+    A and B hold homogeneous polynomials by degree (a list, or a dict
+    degree -> list).  Nonzero products are added to ``span``, a dict degree
+    -> (Echelon, the products it accepted), which is returned.
     """
-    collect = span is not None or target is None
     if span is None:
         span = {}
-    if target is not None:
-        target = dict(_by_degree(target))
-        tspans = {}
-    escape = None
     for d1, fs in _by_degree(A):
         for d2, gs in _by_degree(B):
             d = d1 + d2
@@ -543,22 +553,12 @@ def span_products(A, B, target=None, mul=MultiPoly.__mul__, p=0, span=None):
                     prod = mul(f, g)
                     if prod.is_zero():
                         continue
-                    row = coord_row(prod, d)
-                    if target is not None and escape is None:
-                        if d not in tspans:
-                            tspans[d] = degree_echelon(target.get(d, ()), d, p)
-                        if not tspans[d].contains(row):
-                            escape = prod
-                            if not collect:
-                                return span, escape
-                    if not collect:
-                        continue
                     if d not in span:
                         span[d] = (Echelon(p), [])
                     ech, kept = span[d]
-                    if ech.add(row):
+                    if ech.add(coord_row(prod, d)):
                         kept.append(prod)
-    return span, escape
+    return span
 
 
 def closure_check(Z, Zp):
@@ -580,8 +580,8 @@ def closure_check(Z, Zp):
     V1 = harmonic_basis(Z)
     V2 = harmonic_basis(Zp)
     V12 = harmonic_basis(minkowski_sum(Z, Zp))
-    span, witness = span_products(V1.by_degree, V2.by_degree,
-                                  target=V12.by_degree, span={})
+    span = span_products(V1.by_degree, V2.by_degree)
+    witness = V12.first_outside(span)
     dims = {d: len(kept) for d, (_, kept) in span.items()}
     proper = any(dims.get(d, 0) < len(bs) for d, bs in enumerate(V12.by_degree))
     return witness is None, proper, witness
@@ -621,7 +621,7 @@ def _normal_form(f: MultiPoly, gens):
             glm = g.leading_monomial()
             if mono_divides(glm, lm):
                 q = tuple(a - b for a, b in zip(lm, glm))
-                work = work - g.mul_term(q, lc / g.terms[glm])
+                work = work - g.mul_term(q, Fraction(lc) / g.terms[glm])
                 break
         else:
             t = MultiPoly(f.n, {lm: lc})

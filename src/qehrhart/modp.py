@@ -134,11 +134,9 @@ def closure_check_modp(Z, Zp, p) -> bool:
     # the sumset lives in F_p^n: add coordinatewise mod p and deduplicate
     Zsum = sorted({tuple((a + b) % p for a, b in zip(z, zp))
                    for z in pts1 for zp in pts2})
-    _, escape = span_products(harmonic_basis_modp(pts1, p),
-                              harmonic_basis_modp(pts2, p),
-                              target=harmonic_basis_modp(Zsum, p),
-                              mul=divided_mul, p=p)
-    return escape is None
+    span = span_products(harmonic_basis_modp(pts1, p),
+                         harmonic_basis_modp(pts2, p), mul=divided_mul, p=p)
+    return harmonic_basis(Zsum, p).first_outside(span) is None
 
 
 def beta_bound(r, rp, p) -> int:

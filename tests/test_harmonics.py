@@ -6,12 +6,14 @@ from math import prod
 
 import pytest
 
-from qehrhart import (MultiPoly, PointLocus, apolarity_pair,
+from qehrhart import (LatticePolytope, MultiPoly, PointLocus, apolarity_pair,
                       buchberger, buchberger_moeller, closure_check,
-                      gr_component, gr_ideal, harmonic_basis,
-                      product_gens_oracle)
-from qehrhart.harmonics import (InconsistencyError, TooLargeError, dump_poly,
-                                grlex_key, hilbert_qpoly, monomials_of_degree,
+                      divided_mul, gr_component, gr_ideal, harmonic_basis,
+                      harmonic_basis_modp, minkowski_sum, product_gens_oracle)
+from qehrhart.halgebra import component
+from qehrhart.harmonics import (HarmonicBasis, InconsistencyError,
+                                TooLargeError, coord_row, dump_poly, grlex_key,
+                                hilbert_qpoly, monomials_of_degree,
                                 span_products)
 from qehrhart.linalg import Echelon
 from qehrhart.qseries import QPoly
@@ -350,12 +352,160 @@ class TestClosure:
     def test_span_products_escape(self):
         one = poly(2, {(0, 0): 1})
         x, y = poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})
-        A, B, target = [[one]], [[], [x, y]], [[one], [x]]
-        # without a span only membership is tested, up to the first escape
-        assert span_products(A, B, target=target) == ({}, y)
-        span, escape = span_products(A, B, target=target, span={})
-        assert escape == y
+        span = span_products([[one]], [[], [x, y]])
+        assert HarmonicBasis(2, [[one], [x]]).first_outside(span) == y
         assert span[1][1] == [x, y] and span[1][0].dim == 2
+
+
+def reference_degree_echelon(polys, d, p=0):
+    """Reference: echelon of the coordinate rows of degree-d polynomials."""
+    return Echelon.of((coord_row(f, d) for f in polys), p)
+
+
+def _by_degree(polys):
+    return polys.items() if isinstance(polys, dict) else enumerate(polys)
+
+
+def reference_span_products(A, B, target=None, mul=MultiPoly.__mul__, p=0,
+                            span=None):
+    """Reference: the fused span and membership test.  Returns (span,
+    escape), escape being the first product outside ``target``; with
+    ``target`` and no ``span`` only membership is tested, up to the first
+    escape."""
+    collect = span is not None or target is None
+    if span is None:
+        span = {}
+    if target is not None:
+        target = dict(_by_degree(target))
+        tspans = {}
+    escape = None
+    for d1, fs in _by_degree(A):
+        for d2, gs in _by_degree(B):
+            d = d1 + d2
+            for f in fs:
+                for g in gs:
+                    prod = mul(f, g)
+                    if prod.is_zero():
+                        continue
+                    row = coord_row(prod, d)
+                    if target is not None and escape is None:
+                        if d not in tspans:
+                            tspans[d] = reference_degree_echelon(
+                                target.get(d, ()), d, p)
+                        if not tspans[d].contains(row):
+                            escape = prod
+                            if not collect:
+                                return span, escape
+                    if not collect:
+                        continue
+                    if d not in span:
+                        span[d] = (Echelon(p), [])
+                    ech, kept = span[d]
+                    if ech.add(row):
+                        kept.append(prod)
+    return span, escape
+
+
+def random_locus(rng, p=0):
+    lo, hi = (0, p - 1) if p else (-2, 2)
+    return sorted({(rng.randint(lo, hi), rng.randint(lo, hi))
+                   for _ in range(rng.randint(1, 6))})
+
+
+class TestSpanMembershipDifferential:
+    """``span_products`` then ``HarmonicBasis.first_outside`` against the
+    fused reference, and ``HarmonicBasis.contains`` against the reference
+    echelon, over Q, over F_p and on components."""
+
+    def assert_same(self, A, B, targets, mul=MultiPoly.__mul__, p=0):
+        """Returns how many targets a product escapes."""
+        span = span_products(A, B, mul=mul, p=p)
+        escapes = 0
+        for new, ref in targets:
+            ref_span, ref_escape = reference_span_products(
+                A, B, target=ref, mul=mul, p=p, span={})
+            assert ({d: kept for d, (_, kept) in span.items()}
+                    == {d: kept for d, (_, kept) in ref_span.items()})
+            assert ({d: ech.dim for d, (ech, _) in span.items()}
+                    == {d: ech.dim for d, (ech, _) in ref_span.items()})
+            escape = new.first_outside(span)
+            assert (escape is None) == (ref_escape is None)
+            assert (escape is None) == (reference_span_products(
+                A, B, target=ref, mul=mul, p=p)[1] is None)
+            if escape is not None:
+                assert not new.contains(escape)
+                escapes += 1
+        return escapes
+
+    def assert_membership(self, V, rng):
+        p, n = V.p, V.n
+        assert V.contains(MultiPoly(n))
+        for d in range(len(V.by_degree) + 1):
+            basis = V.by_degree[d] if d < len(V.by_degree) else []
+            ref = reference_degree_echelon(basis, d, p)
+            if basis:
+                combo = MultiPoly(n)
+                for g in basis:
+                    combo = combo + g * rng.randint(1, 4)
+                if p:
+                    combo = MultiPoly(n, {m: c % p
+                                          for m, c in combo.terms.items()})
+                assert V.contains(combo)
+                assert ref.contains(coord_row(combo, d))
+            for m in monomials_of_degree(n, d):
+                mono = MultiPoly(n, {m: 1})
+                assert V.contains(mono) == ref.contains(coord_row(mono, d))
+
+    def test_over_q(self):
+        rng = random.Random(17)
+        strays = escapes = 0
+        for _ in range(30):
+            Z = PointLocus(2, random_locus(rng))
+            Zp = PointLocus(2, random_locus(rng))
+            A, B = harmonic_basis(Z), harmonic_basis(Zp)
+            V = harmonic_basis(minkowski_sum(Z, Zp))
+            # the sumset's space holds every product; the first factor's
+            # space is a target with escapes
+            escapes += self.assert_same(A.by_degree, B.by_degree,
+                                        [(V, V.by_degree), (A, A.by_degree)])
+            self.assert_membership(V, rng)
+            strays += any(not V.contains(MultiPoly(2, {m: 1}))
+                          for d in range(len(V.by_degree))
+                          for m in monomials_of_degree(2, d))
+        assert strays and escapes
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_over_fp(self, p):
+        rng = random.Random(p)
+        escapes = 0
+        for _ in range(12):
+            pts1, pts2 = random_locus(rng, p), random_locus(rng, p)
+            Zsum = sorted({tuple((a + b) % p for a, b in zip(z, zp))
+                           for z in pts1 for zp in pts2})
+            A = harmonic_basis_modp(pts1, p)
+            B = harmonic_basis_modp(pts2, p)
+            V, W = harmonic_basis(Zsum, p), harmonic_basis(pts1, p)
+            assert V.p == W.p == p
+            escapes += self.assert_same(
+                A, B, [(V, harmonic_basis_modp(Zsum, p)), (W, A)],
+                mul=divided_mul, p=p)
+            self.assert_membership(V, rng)
+        assert escapes
+
+    def test_components(self, case_triangle, unit_square):
+        rng = random.Random(5)
+        escapes = 0
+        for P in (case_triangle, unit_square,
+                  LatticePolytope([(0, 0), (1, 2), (3, 1)])):
+            for m in (1, 2):
+                for mp in (1, 2):
+                    A, B = component(P, m), component(P, mp)
+                    C = component(P, m + mp)
+                    escapes += self.assert_same(
+                        A.by_degree, B.by_degree,
+                        [(C, C.by_degree), (A, A.by_degree)])
+                self.assert_membership(component(P, m), rng)
+        assert escapes
 
 
 class TestProductOracle:
