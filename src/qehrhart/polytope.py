@@ -4,13 +4,14 @@ polytope constructions, antiblocking detection, decomposition checks.
 Lower-dimensional polytopes are handled through a Hermite-normal-form
 parametrization of the affine lattice: enumeration runs in hull coordinates
 and maps back, so simplices sitting inside hyperplanes work like
-full-dimensional ones.
+full-dimensional ones.  It walks fibre by fibre between integer bounds from
+projected facets, so its cost follows the points, not the bounding box.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from math import gcd
 
 from .linalg import Echelon, Mat, solve
@@ -150,6 +151,27 @@ def _integer_kernel(rows, n):
     return [tuple(U[i][j] for i in range(n)) for j in kernel_cols]
 
 
+def _facets_of(points, d):
+    """Facets (primitive integer normal, offset), normal . u <= offset, of
+    the hull of integer points that span Z^d affinely."""
+    if d == 0:
+        return ()
+    found = {}
+    for sub in combinations(points, d):
+        diffs = [tuple(p[i] - sub[0][i] for i in range(d)) for p in sub[1:]]
+        normal = _cofactor_normal(diffs, d)
+        if normal is None:
+            continue
+        normal = _primitive(normal)
+        off = sum(a * b for a, b in zip(normal, sub[0]))
+        sides = {sum(a * b for a, b in zip(normal, u)) - off for u in points}
+        if all(s <= 0 for s in sides):
+            found[(normal, off)] = True
+        if all(s >= 0 for s in sides):
+            found[(tuple(-a for a in normal), -off)] = True
+    return tuple(sorted(found))
+
+
 _UNKNOWN = object()   # marks a cached property not yet computed
 
 
@@ -175,7 +197,7 @@ class LatticePolytope:
                 dedup.append(p)
         self._setup_hull(dedup)
         points_u = [self.hull_coords(p) for p in dedup]
-        self._facets = self._compute_facets(points_u)
+        self._facets = _facets_of(points_u, self.dim)
         # a generating point is extreme iff its active facet normals span
         extreme = [(p, u) for p, u in zip(dedup, points_u)
                    if Echelon.of(self._active(u)).dim == self.dim]
@@ -183,6 +205,7 @@ class LatticePolytope:
         self._vertices_u = [u for _, u in extreme]
         self._antiblocking = None
         self._corner = _UNKNOWN
+        self._projections = None
 
     # -- hull -----------------------------------------------------------
 
@@ -228,27 +251,6 @@ class LatticePolytope:
 
     # -- facets ----------------------------------------------------------
 
-    def _compute_facets(self, points_u):
-        d = self.dim
-        if d == 0:
-            return ()
-        found = {}
-        for sub in combinations(points_u, d):
-            diffs = [tuple(p[i] - sub[0][i] for i in range(d)) for p in sub[1:]]
-            normal = _cofactor_normal(diffs, d)
-            if normal is None:
-                continue
-            normal = _primitive(normal)
-            off = sum(a * b for a, b in zip(normal, sub[0]))
-            sides = {sum(a * b for a, b in zip(normal, u)) - off
-                     for u in points_u}
-            if all(s <= 0 for s in sides):
-                found[(normal, off)] = True
-            if all(s >= 0 for s in sides):
-                nneg = tuple(-a for a in normal)
-                found[(nneg, -off)] = True
-        return tuple(sorted(found))
-
     def facets(self):
         """(normal, offset) pairs in hull coordinates; normal . u <= offset."""
         return self._facets
@@ -288,25 +290,49 @@ class LatticePolytope:
             raise ValueError("interior enumeration needs m >= 1")
         return self._enumerate(m, strict=True)
 
+    def _levels(self):
+        """Per hull coordinate k, the facets of P projected onto coordinates
+        1..k (P's own at k = dim) with nonzero k-th entry c, as (prefix
+        normal, c, offset), split into c < 0 and c > 0.  Computed once."""
+        if self._projections is None:
+            d, levels = self.dim, []
+            for k in range(1, d + 1):
+                facets = self._facets if k == d else _facets_of(
+                    sorted({u[:k] for u in self._vertices_u}), k)
+                split = [(n[:-1], n[-1], off) for n, off in facets if n[-1]]
+                levels.append(([f for f in split if f[1] < 0],
+                               [f for f in split if f[1] > 0]))
+            self._projections = levels
+        return self._projections
+
     def _hull_points(self, m, strict):
         """Hull coordinates of the integer points of mP (of its relative
-        interior if ``strict``), in lexicographic order."""
+        interior if ``strict``), in lexicographic order, fibre by fibre.
+
+        A prefix of a point of mP (of its interior) lies in m times P's
+        projection (its interior), so coordinate k runs between the ceiling
+        and floor bounds that the projection's facets set on the prefix;
+        strictly, n . u < m off is n . u <= m off - 1.  A facet with k-th
+        entry 0 is a facet of the projection one level up, so it is already
+        met.  The cost follows the integer prefixes, not the bounding box."""
         d = self.dim
         if d == 0:
             return [()]
-        verts_u = self._vertices_u
-        lo = [m * min(u[k] for u in verts_u) for k in range(d)]
-        hi = [m * max(u[k] for u in verts_u) for k in range(d)]
-        pts = []
-        for u in iproduct(*(range(lo[k], hi[k] + 1) for k in range(d))):
-            ok = True
-            for (nrm, off) in self._facets:
-                s = sum(a * b for a, b in zip(nrm, u))
-                if s > m * off or (strict and s == m * off):
-                    ok = False
-                    break
-            if ok:
-                pts.append(u)
+        levels, pts, cut = self._levels(), [], int(strict)
+
+        def walk(prefix, k):
+            lower, upper = levels[k]
+
+            def room(n, off):
+                return m * off - cut - sum(a * b for a, b in zip(n, prefix))
+            lo = max(-(room(n, off) // -c) for n, c, off in lower)
+            hi = min(room(n, off) // c for n, c, off in upper)
+            if k == d - 1:
+                pts.extend(prefix + (z,) for z in range(lo, hi + 1))
+            else:
+                for z in range(lo, hi + 1):
+                    walk(prefix + (z,), k + 1)
+        walk((), 0)
         return pts
 
     def _enumerate(self, m, strict):

@@ -359,6 +359,77 @@ def geometry_cases(family):
     return cases
 
 
+def ref_hull_points(P, m, strict):
+    """Bounding-box scan: every box point of mP in hull coordinates, tested
+    against every facet."""
+    d = P.dim
+    if d == 0:
+        return [()]
+    verts_u = P._vertices_u
+    lo = [m * min(u[k] for u in verts_u) for k in range(d)]
+    hi = [m * max(u[k] for u in verts_u) for k in range(d)]
+    pts = []
+    for u in iproduct(*(range(lo[k], hi[k] + 1) for k in range(d))):
+        ok = True
+        for (nrm, off) in P.facets():
+            s = sum(a * b for a, b in zip(nrm, u))
+            if s > m * off or (strict and s == m * off):
+                ok = False
+                break
+        if ok:
+            pts.append(u)
+    return pts
+
+
+def small_point_set(rng):
+    """Points base + sum c_k g_k in Z^n, n <= 4, with 0 <= c_k <= 2 and
+    entries of g_k in {-1, 0, 1}; small enough for the box scan."""
+    n = rng.randint(1, 4)
+    base = [rng.randint(-2, 2) for _ in range(n)]
+    gens = [[rng.randint(-1, 1) for _ in range(n)]
+            for _ in range(rng.randint(1, n))]
+    return [tuple(b + sum(rng.randint(0, 2) * g[i] for g in gens)
+                  for i, b in enumerate(base))
+            for _ in range(rng.randint(2, n + 4))]
+
+
+def axis_box(rng):
+    """Corners of a box in Z^n, n <= 4, some sides of length 0."""
+    sides = [(a, a + rng.randint(0, 2))
+             for a in (rng.randint(-2, 2) for _ in range(rng.randint(1, 4)))]
+    return list(iproduct(*sides))
+
+
+class TestFibreEnumeration:
+    """The fibre walk lists what the bounding-box scan lists, in order."""
+
+    def assert_same(self, P, ms):
+        for m in ms:
+            assert P._hull_points(m, False) == ref_hull_points(P, m, False)
+            if m:
+                assert P._hull_points(m, True) == ref_hull_points(P, m, True)
+
+    def test_corpus(self):
+        for corpus in CORPORA.values():
+            for row in corpus:
+                self.assert_same(row.polytope(), range(5))
+
+    def test_random_point_sets(self):
+        rng = random.Random(29)
+        dims = set()
+        for _ in range(300):
+            P = LatticePolytope(small_point_set(rng))
+            dims.add((P.dim, P.ambient_dim))
+            self.assert_same(P, range(3))
+        assert {(d, n) for d in range(1, 5) for n in range(d, 5)} <= dims
+
+    def test_axis_parallel_boxes(self):
+        # facets with zero entries: strict bounds on the prefix matter
+        rng = random.Random(31)
+        for _ in range(60):
+            self.assert_same(LatticePolytope(axis_box(rng)), range(4))
+
+
 class TestIntegerGeometry:
     @pytest.mark.parametrize("family", ["corpus", "posets", "random",
                                         "images"])
@@ -402,6 +473,32 @@ class TestUnimodularEmbedding:
                 P = LatticePolytope([tuple(rng.randint(0, 3) for _ in range(d))
                                      for _ in range(rng.randint(d + 1, d + 3))])
             A = [row[:d] for row in random_unimodular(rng, n, steps=1)]
+            b = [rng.randint(-3, 3) for _ in range(n)]
+            Q = P.affine_image(A, b)
+            for m in (1, 2, 3):
+                def image(z):
+                    return tuple(sum(a * x for a, x in zip(row, z)) + m * c
+                                 for row, c in zip(A, b))
+                pts = Q.lattice_points(m).points
+                assert pts == tuple(sorted(map(image, P.lattice_points(m))))
+                assert Q.interior_lattice_points(m).points == tuple(
+                    sorted(map(image, P.interior_lattice_points(m))))
+                mQ = Q.dilate(m)
+                for y in pts:
+                    assert mQ.contains(y)
+                    assert Q.hull_coords(y, scale=m) is not None
+
+    def test_sheared_images(self):
+        # as above, with 3n row additions: boxes far larger than the images
+        rng = random.Random(37)
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            n = rng.randint(d, 4)
+            P = LatticePolytope([(0,) * d])
+            while P.dim < d:
+                P = LatticePolytope([tuple(rng.randint(0, 3) for _ in range(d))
+                                     for _ in range(rng.randint(d + 1, d + 3))])
+            A = [row[:d] for row in random_unimodular(rng, n, steps=3)]
             b = [rng.randint(-3, 3) for _ in range(n)]
             Q = P.affine_image(A, b)
             for m in (1, 2, 3):
