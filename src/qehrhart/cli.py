@@ -339,10 +339,12 @@ OUT = ("--out", {})
 JOBS = ("--jobs", {"type": _POS, "default": 1})
 SEED = ("--seed", {"type": int, "default": 0})
 TRIALS = ("--trials", {"type": _NAT, "default": 100})
-# 0 is characteristic 0 for `modp beta` and the default prime(s) elsewhere
+# 0 is characteristic 0 for `modp beta` and the default prime(s) elsewhere;
+# below 2^31 trial division takes at most 46,341 steps
 PRIME = ("--prime", {"type": _int_where(
-    lambda n: n == 0 or n > 1 and all(n % d for d in range(2, isqrt(n) + 1)),
-    "0 or a prime"), "default": 0})
+    lambda n: n == 0 or 1 < n < 2 ** 31
+    and all(n % d for d in range(2, isqrt(n) + 1)),
+    "0 or a prime below 2^31"), "default": 0})
 BETA_ARG = {"type": _POS, "nargs": "?", "default": 2}
 
 # subcommand: (help, handler, arguments); each takes only what it reads,

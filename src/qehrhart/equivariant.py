@@ -83,7 +83,7 @@ def graded_character(P: LatticePolytope, g: GroupElement, m: int) -> QPoly:
         # the basis is in reduced echelon form over grlex-descending monomials,
         # so an element's coordinate is the image's coefficient at its
         # leading monomial
-        tr = Fraction(0)
+        tr = 0
         for b in basis:
             img = _substitute(b, g.matrix)
             if any(sum(mo) != d for mo in img.terms):
@@ -157,7 +157,7 @@ def decompose(values, table: CharacterTable):
     for name, row in zip(table.irreducibles, table.values):
         acc = QPoly.zero()
         for cid, size, chi in zip(table.class_ids, table.class_sizes, row):
-            acc = acc + values[cid] * Fraction(size * chi)
+            acc = acc + values[cid] * (size * chi)
         mult = acc * Fraction(1, order)
         for c in mult.coeffs:
             if c.denominator != 1 or c < 0:
@@ -173,6 +173,6 @@ def recompose(mults, table: CharacterTable):
     for c, cid in enumerate(table.class_ids):
         acc = QPoly.zero()
         for name, row in zip(table.irreducibles, table.values):
-            acc = acc + mults[name] * Fraction(row[c])
+            acc = acc + mults[name] * row[c]
         out[cid] = acc
     return out

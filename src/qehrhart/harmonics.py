@@ -25,7 +25,7 @@ from math import factorial
 
 from .linalg import Echelon, Mat, nullspace, rref
 from .polytope import PointLocus, minkowski_sum
-from .qseries import QPoly
+from .qseries import QPoly, _exact
 
 
 class InconsistencyError(RuntimeError):
@@ -86,7 +86,8 @@ def coord_row(f, d):
 
 
 class MultiPoly:
-    """Multivariate polynomial as {exponent tuple: Fraction}, zero terms absent."""
+    """Multivariate polynomial as {exponent tuple: coefficient}, zero terms
+    absent; a coefficient is an int unless its value is not an integer."""
 
     __slots__ = ("n", "terms")
 
@@ -95,7 +96,7 @@ class MultiPoly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = c if type(c) is int else _exact(c)
                 if c:
                     self.terms[tuple(m)] = c
 
@@ -120,7 +121,7 @@ class MultiPoly:
 
     def leading_coeff(self):
         lm = self.leading_monomial()
-        return self.terms[lm] if lm is not None else Fraction(0)
+        return self.terms[lm] if lm is not None else 0
 
     def top_component(self):
         """Highest-degree homogeneous part."""
@@ -141,13 +142,13 @@ class MultiPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return MultiPoly(self.n, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
+            out[m] = out.get(m, 0) - c
         return MultiPoly(self.n, out)
 
     def __mul__(self, other):
@@ -173,12 +174,12 @@ class MultiPoly:
         return self * (Fraction(1) / lc)
 
     def evaluate(self, point):
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             v = c
             for x, e in zip(point, m):
                 if e:
-                    v = v * Fraction(x) ** e
+                    v = v * x ** e
             total += v
         return total
 
@@ -351,7 +352,7 @@ def buchberger_moeller(Z, p=0, graded=False) -> GBasis:
     if not graded:
         gens = [(lead, _newton_to_monomials(combo, nodes, p))
                 for lead, combo in gens]
-    gens = [MultiPoly(n, {m: Fraction(c, combo[lead]) for m, c in combo.items() if c})
+    gens = [MultiPoly(n, {m: _exact(c, combo[lead]) for m, c in combo.items() if c})
             for lead, combo in gens]
     gens.sort(key=lambda g: grlex_key(g.leading_monomial()))
     return GBasis(n, gens, std)
@@ -519,9 +520,9 @@ def _fact(mono):
     return w
 
 
-def apolarity_pair(f: MultiPoly, g: MultiPoly) -> Fraction:
+def apolarity_pair(f: MultiPoly, g: MultiPoly):
     """Differentiation pairing: <x^a, y^b> = a! if a == b else 0, extended bilinearly."""
-    total = Fraction(0)
+    total = 0
     for m, c in f.terms.items():
         d = g.terms.get(m)
         if d:
@@ -659,8 +660,8 @@ def buchberger(gens):
         if any(j != i and mono_divides(lts[j], lts[i]) for j in range(len(basis))):
             continue
         others = [h for j, h in enumerate(basis) if j != i]
-        tail = g - MultiPoly(g.n, {lts[i]: Fraction(1)})  # entries are monic
-        reduced.append(MultiPoly(g.n, {lts[i]: Fraction(1)})
+        tail = g - MultiPoly(g.n, {lts[i]: 1})  # entries are monic
+        reduced.append(MultiPoly(g.n, {lts[i]: 1})
                        + _normal_form(tail, others))
     reduced.sort(key=lambda g: grlex_key(g.leading_monomial()))
     return reduced

@@ -22,7 +22,6 @@ _I64 = 2 ** 63
 
 
 def int_out(v):
-    v = int(v)
     return v if -_I64 < v < _I64 else str(v)
 
 
@@ -43,12 +42,9 @@ def _ints(v):
 
 
 def qpoly_out(p: QPoly):
-    out = []
-    for c in p.coeffs:
-        if c.denominator != 1:
-            raise ValueError("record coefficients must be integers")
-        out.append(int_out(c.numerator))
-    return out
+    if any(type(c) is not int for c in p.coeffs):
+        raise ValueError("record coefficients must be integers")
+    return [int_out(c) for c in p.coeffs]
 
 
 def qpoly_in(lst):

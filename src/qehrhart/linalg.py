@@ -1,27 +1,27 @@
 """Exact rational linear algebra on dense matrices.
 
-All entries are ``fractions.Fraction`` (or ints, which are upgraded on the
-fly).  Every eliminator in the package runs on ``Echelon``, one incremental
-row echelon over Q or F_p.  Over Q it is fraction-free on integer-rescaled
-rows, with one content strip per reduced row, so intermediate entries stay
-integral; ``rref`` normalizes pivots to 1 with exact division only in its
-final pass.
+Entries and results are ints, or ``Fraction`` where a value is not an
+integer.  Every eliminator in the package runs on ``Echelon``, one
+incremental row echelon over Q or F_p.  Over Q it is fraction-free on
+integer-rescaled rows, with one content strip per reduced row, so
+intermediate entries stay integral; ``rref`` divides by pivots only last.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+from .qseries import _exact
+
 
 class Mat:
-    """Dense matrix of exact rationals, row-major."""
+    """Dense matrix of exact rationals, row-major, entries as given."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
+        self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
@@ -41,8 +41,7 @@ def rref(M: Mat, p=0):
     """Reduced row-echelon form over Q (``p = 0``) or F_p.  Returns
     (echelon Mat, pivot column list)."""
     piv, rows = Echelon.of(M.entries, p).rref()
-    for _ in range(M.rows - len(rows)):
-        rows.append([Fraction(0)] * M.cols)
+    rows += [[0] * M.cols for _ in range(M.rows - len(rows))]
     return Mat(rows), piv
 
 
@@ -59,15 +58,12 @@ def nullspace(M: Mat, p=0):
 
 def solve(M: Mat, b):
     """One exact solution x of M x = b, or None if inconsistent."""
-    aug = Mat([row + [v] for row, v in zip(M.entries, [Fraction(x) for x in b])])
-    ech, piv = rref(aug)
+    ech, piv = rref(Mat([row + [v] for row, v in zip(M.entries, b)]))
     if M.cols in piv:
         return None
-    x = [Fraction(0)] * M.cols
+    x = [0] * M.cols
     for i, pc in enumerate(piv):
         x[pc] = ech.entries[i][M.cols]
-        # free columns stay 0, subtract their (zero) contribution: nothing to do
-    # verify against non-pivot rows implicitly: rref of aug already consistent
     return x
 
 
@@ -167,20 +163,15 @@ class Echelon:
         return True
 
     def rref(self):
-        """(pivot columns, reduced echelon rows with leading 1), by column."""
-        p = self.p
-        done = []
-        for pc, row, _ in sorted(self.pivots, key=lambda t: t[0], reverse=True):
-            r = list(row) if p else [Fraction(a, row[pc]) for a in row]
-            for qc, qrow in done:
-                c = r[qc]
-                if c:
-                    r = [a - c * b for a, b in zip(r, qrow)]
-                    if p:
-                        r = [a % p for a in r]
-            done.append((pc, r))
-        done.reverse()
-        return [pc for pc, _ in done], [r for _, r in done]
+        """(pivot columns, reduced echelon rows with leading 1), by column:
+        each row reduced by the later ones, then divided by its pivot."""
+        back = Echelon(self.p)
+        for _, row, _ in sorted(self.pivots, key=lambda t: t[0], reverse=True):
+            back.push(*back.reduce(row))
+        back.pivots.reverse()
+        return ([pc for pc, _, _ in back.pivots],
+                [r if r[pc] == 1 else [_exact(a, r[pc]) for a in r]
+                 for pc, r, _ in back.pivots])
 
     def kernel(self, ncols):
         """Basis of the right kernel, one vector per free column.
@@ -190,13 +181,12 @@ class Echelon:
         """
         piv, rows = self.rref()
         p = self.p
-        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
         basis = []
         for f in range(ncols):
             if f in piv:
                 continue
-            v = [zero] * ncols
-            v[f] = one
+            v = [0] * ncols
+            v[f] = 1
             for pc, r in zip(piv, rows):
                 v[pc] = -r[f] % p if p else -r[f]
             basis.append(v)

@@ -12,6 +12,7 @@ factorials appear).
 from __future__ import annotations
 
 from .harmonics import grlex_key, harmonic_basis, span_products
+from .qseries import _integer
 
 
 class PointCollisionError(ValueError):
@@ -48,7 +49,7 @@ class DividedPoly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = int(c) % p
+                c = _integer(c) % p
                 if c:
                     self.terms[tuple(m)] = c
 

@@ -10,7 +10,7 @@ projected facets, so its cost follows the points, not the bounding box.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -172,9 +172,6 @@ def _facets_of(points, d):
     return tuple(sorted(found))
 
 
-_UNKNOWN = object()   # marks a cached property not yet computed
-
-
 class LatticePolytope:
     """Convex hull of integer points; cached hull and facet data.
 
@@ -203,9 +200,6 @@ class LatticePolytope:
                    if Echelon.of(self._active(u)).dim == self.dim]
         self.vertices = tuple(p for p, _ in extreme)
         self._vertices_u = [u for _, u in extreme]
-        self._antiblocking = None
-        self._corner = _UNKNOWN
-        self._projections = None
 
     # -- hull -----------------------------------------------------------
 
@@ -234,9 +228,9 @@ class LatticePolytope:
     def hull_coords(self, z, scale=1):
         """Integer coordinates u with z = scale*base + sum u_k b_k, or None."""
         u = self.hull_coords_rational(z, scale)
-        if u is None or any(x.denominator != 1 for x in u):
+        if u is None or any(type(x) is not int for x in u):
             return None
-        return tuple(int(x) for x in u)
+        return tuple(u)
 
     def from_hull_coords(self, u, scale=1):
         n = self.ambient_dim
@@ -268,7 +262,7 @@ class LatticePolytope:
     def hull_coords_rational(self, z, scale=1):
         """Hull coordinates allowing rational values (affine hull membership)."""
         n = self.ambient_dim
-        rhs = [Fraction(z[i]) - scale * self.base[i] for i in range(n)]
+        rhs = [z[i] - scale * self.base[i] for i in range(n)]
         for c in self.hull_normals:
             if sum(a * b for a, b in zip(c, rhs)) != 0:
                 return None
@@ -290,20 +284,19 @@ class LatticePolytope:
             raise ValueError("interior enumeration needs m >= 1")
         return self._enumerate(m, strict=True)
 
+    @cached_property
     def _levels(self):
         """Per hull coordinate k, the facets of P projected onto coordinates
         1..k (P's own at k = dim) with nonzero k-th entry c, as (prefix
-        normal, c, offset), split into c < 0 and c > 0.  Computed once."""
-        if self._projections is None:
-            d, levels = self.dim, []
-            for k in range(1, d + 1):
-                facets = self._facets if k == d else _facets_of(
-                    sorted({u[:k] for u in self._vertices_u}), k)
-                split = [(n[:-1], n[-1], off) for n, off in facets if n[-1]]
-                levels.append(([f for f in split if f[1] < 0],
-                               [f for f in split if f[1] > 0]))
-            self._projections = levels
-        return self._projections
+        normal, c, offset), split into c < 0 and c > 0."""
+        d, levels = self.dim, []
+        for k in range(1, d + 1):
+            facets = self._facets if k == d else _facets_of(
+                sorted({u[:k] for u in self._vertices_u}), k)
+            split = [(n[:-1], n[-1], off) for n, off in facets if n[-1]]
+            levels.append(([f for f in split if f[1] < 0],
+                           [f for f in split if f[1] > 0]))
+        return levels
 
     def _hull_points(self, m, strict):
         """Hull coordinates of the integer points of mP (of its relative
@@ -318,7 +311,7 @@ class LatticePolytope:
         d = self.dim
         if d == 0:
             return [()]
-        levels, pts, cut = self._levels(), [], int(strict)
+        levels, pts, cut = self._levels, [], int(strict)
 
         def walk(prefix, k):
             lower, upper = levels[k]
@@ -379,8 +372,6 @@ class LatticePolytope:
 
     def is_antiblocking(self) -> bool:
         """Down-closed subset of the nonnegative orthant, as positioned."""
-        if self._antiblocking is None:
-            self._antiblocking = self._check_antiblocking()
         return self._antiblocking
 
     def corner_map(self):
@@ -394,14 +385,12 @@ class LatticePolytope:
         Binv = det(B) adj(B) is B's inverse.  The image is antiblocking when
         every facet not through v pulls back to a nonnegative normal.  Any
         antiblocking unimodular image sends some vertex to 0 and its edges
-        onto the axes, so the search is complete.  Computed once per
-        polytope.
+        onto the axes, so the search is complete.
         """
-        if self._corner is _UNKNOWN:
-            self._corner = self._find_corner()
         return self._corner
 
-    def _find_corner(self):
+    @cached_property
+    def _corner(self):
         d = self.dim
         if d == 0:
             return None
@@ -424,7 +413,8 @@ class LatticePolytope:
                 return v, [[det * a for a in row] for row in _adjugate(B)]
         return None
 
-    def _check_antiblocking(self):
+    @cached_property
+    def _antiblocking(self):
         # by convexity, P is down-closed once it holds the projections
         # v - v_i e_i of every vertex v
         if any(x < 0 for v in self.vertices for x in v):

@@ -46,10 +46,21 @@ def _mul_factor_rows(rows, b, a, divide=False):
     return out
 
 
-def _exact(c):
-    """``c`` as a Fraction, or as an int when its value is an integer."""
-    c = Fraction(c)
+def _exact(c, den=1):
+    """The one number rule: the rational c / den (``den`` an int, only with
+    an int c) as an int when its value is an integer, else as a Fraction."""
+    if type(c) is int:
+        return c // den if c % den == 0 else Fraction(c, den)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _integer(c):
+    """``c`` as an int; ValueError when its value is not an integer."""
+    if type(c) is not int and type(c := _exact(c)) is not int:
+        raise ValueError(f"coefficient {c} is not an integer")
+    return c
 
 
 class QPoly:
@@ -247,7 +258,7 @@ class BivarPoly:
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = int(v)
+                v = _integer(v)
                 if v:
                     self.terms[k] = v
 
@@ -396,7 +407,7 @@ def fit_numerator(S: TQSeries, den, t_deg_max: int):
             if c:
                 if c.denominator != 1:
                     return None
-                terms[(m, d)] = int(c)
+                terms[(m, d)] = c
     return BivarPoly(terms)
 
 

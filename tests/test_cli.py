@@ -47,6 +47,8 @@ BAD_INPUTS = [
     ["modp", "closure", "--prime", "1", "--trials", "3"],
     ["modp", "beta", "0", "2"],
     ["modp", "beta", "2", "0"],
+    ["modp", "beta", "2", "2", "--prime", "2147483659"],
+    ["modp", "beta", "2", "2", "--prime", "2305843009213693951"],
     ["equivariant", "SQUARE", "SHEAR"],
     ["table", "fig1", "--cache", "D"],
     ["compute", "SQUARE", "--trials", "3"],

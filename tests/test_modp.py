@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -56,6 +57,15 @@ class TestDividedMul:
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             divided_mul(dp(2, 1, {(1,): 1}), dp(3, 1, {(1,): 1}))
+
+    def test_integral_scalars_reduce_mod_p(self):
+        assert dp(5, 1, {(1,): Fraction(14, 2), (2,): -1}).terms == {
+            (1,): 2, (2,): 4}
+
+    def test_non_integer_scalar_refused(self):
+        # refused, not truncated: 7/2 is 1 mod 5, and int() reads 3
+        with pytest.raises(ValueError):
+            dp(5, 1, {(1,): Fraction(7, 2)})
 
     def test_commutative_associative(self):
         rng = random.Random(2)

@@ -148,6 +148,20 @@ def test_search_matches_candidate_route(request, name, T, bounds, interior):
         assert reference_search(S, *bounds)
 
 
+class TestBivarPoly:
+    def test_integral_coefficients_become_ints(self):
+        f = BivarPoly({(0, 0): Fraction(4, 2), (1, 0): True, (1, 1): 0})
+        assert f.terms == {(0, 0): 2, (1, 0): 1}
+        assert all(type(c) is int for c in f.terms.values())
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2),
+                                   Fraction(-7, 3)])
+    def test_non_integer_coefficient_refused(self, c):
+        # refused, not truncated (1/2 to the zero polynomial, 3/2 to 1)
+        with pytest.raises(ValueError):
+            BivarPoly({(0, 0): c})
+
+
 class TestExpand:
     def test_two_factor(self):
         R = RatFun2(BivarPoly({(0, 0): 1}), [(1, 0), (1, 1)])
