@@ -46,6 +46,22 @@ def _mul_factor_rows(rows, b, a, divide=False):
     return out
 
 
+def _factor_clears(rows, b, a, start):
+    """Whether ``rows`` times (1 - q^a t^b) vanishes at every t-power from
+    ``start`` on, i.e. ``not any(_mul_factor_rows(rows, b, a)[start:])``,
+    without forming the product: rows[start:b] are empty and, beyond them,
+    rows[m] == q^a rows[m-b].  The rows are trimmed; the first mismatch,
+    usually in the first row compared, ends the test.
+    """
+    if any(rows[start:b]):
+        return False
+    for m in range(max(start, b), len(rows)):
+        row = rows[m]
+        if row[a:] != rows[m - b] or any(row[:a]):
+            return False
+    return True
+
+
 def _exact(c, den=1):
     """The one number rule: the rational c / den (``den`` an int, only with
     an int c) as an int when its value is an integer, else as a Fraction."""
@@ -59,8 +75,19 @@ def _exact(c, den=1):
 def _integer(c):
     """``c`` as an int; ValueError when its value is not an integer."""
     if type(c) is not int and type(c := _exact(c)) is not int:
-        raise ValueError(f"coefficient {c} is not an integer")
+        raise ValueError(f"{c} is not an integer")
     return c
+
+
+def _denominator(factors):
+    """Denominator factors (b, a) as a sorted tuple of int pairs; ValueError
+    unless each is a factor 1 - q^a t^b with b >= 1 and a >= 0, the ones
+    with a power-series expansion in t over Z[q]."""
+    factors = tuple(sorted((_integer(b), _integer(a)) for (b, a) in factors))
+    if any(b < 1 or a < 0 for (b, a) in factors):
+        raise ValueError(f"denominator factors (b, a) need b >= 1 and a >= 0,"
+                         f" got {list(factors)}")
+    return factors
 
 
 class QPoly:
@@ -346,11 +373,7 @@ class RatFun2:
         if isinstance(numerator, dict):
             numerator = BivarPoly(numerator)
         self.numerator = numerator
-        factors = tuple(sorted((int(b), int(a)) for (b, a) in denom_factors))
-        if any(b == 0 for (b, a) in factors):
-            # a factor constant in t has no power-series expansion in t
-            raise ValueError("denominator factors need positive t-exponent")
-        self.denom_factors = factors
+        self.denom_factors = _denominator(denom_factors)
 
     def __eq__(self, other):
         return (isinstance(other, RatFun2)
@@ -390,7 +413,7 @@ def fit_numerator(S: TQSeries, den, t_deg_max: int):
     ``t_deg_max`` vanish identically up to order S.T.  The margin
     S.T >= t_deg_max + sum(b_i) + 2 is a precondition.
     """
-    den = sorted((int(b), int(a)) for (b, a) in den)
+    den = _denominator(den)
     sum_b = sum(b for (b, _) in den)
     if S.T < t_deg_max + sum_b + 2:
         raise InsufficientTruncationError(
@@ -430,12 +453,18 @@ def denominator_search(S: TQSeries, b_max, a_max, nu_max, t_deg_max=None,
     success in canonical order (cheap minimal-form guessing).
 
     Multisets are enumerated depth-first as sorted tuples, one factor
-    multiply per tree edge, so each prefix product is shared by every
-    candidate extending it.  A candidate whose product terminates is
-    confirmed, and its numerator taken, by ``fit_numerator``.
+    multiply per proper prefix, so each prefix product is shared by every
+    candidate extending it.  The last factor of a candidate is not
+    multiplied in: ``_factor_clears`` tests it against the prefix rows, and
+    only a candidate that passes is confirmed, and its numerator taken, by
+    ``fit_numerator``.  A full scan is one walk, in which every node is a
+    candidate; ``first_only`` walks once per (nu, total degree), to keep
+    canonical order, and keeps the prefix products of its walks for the
+    length of the call, so none is formed twice.  An empty result means no
+    form within the bounds, not that S is not rational.
     """
     types = _factor_types(b_max, a_max)
-    if not types or (t_deg_max is not None and t_deg_max < 0):
+    if not types or nu_max < 1 or (t_deg_max is not None and t_deg_max < 0):
         return []
     # the margin S.T >= t_deg_max + sum(b_i) + 2 bounds sum(b_i); a derived
     # t_deg_max meets it, and is not negative, exactly when sum(b_i) <= S.T - 2
@@ -443,41 +472,46 @@ def denominator_search(S: TQSeries, b_max, a_max, nu_max, t_deg_max=None,
     degs = [a + b for (b, a) in types]
     lo = [min(degs[i:]) for i in range(len(types))]
     hi = [max(degs[i:]) for i in range(len(types))]
+    prefixes = {} if first_only else None
 
     def extend(start, left, factors, rows, sum_b, deg, target):
-        """Hits among ``factors`` plus ``left`` more types from types[start:],
-        in sorted-tuple order; ``rows`` is S times ``factors``.  A ``target``
-        keeps only multisets of that total degree."""
-        if not left:
-            tdm = t_deg_max
-            if tdm is None:
-                tdm = min(sum_b + 4, S.T - sum_b - 2)
-            if not any(rows[tdm + 1:]):
-                num = fit_numerator(S, factors, tdm)
-                if num is not None:
-                    yield RatFun2(num, factors)
-            return
+        """Hits among ``factors`` plus 1 to ``left`` more types from
+        types[start:], in sorted-tuple order; ``rows`` is S times
+        ``factors``.  A ``target`` keeps only multisets of exactly ``left``
+        more types and that total degree."""
         for i in range(start, len(types)):
             b, a = types[i]
-            if sum_b + b * left > b_room:
+            if sum_b + b * (1 if target is None else left) > b_room:
                 break  # b never decreases along types
             d = deg + a + b
             if target is not None and not (d + (left - 1) * lo[i] <= target
                                            <= d + (left - 1) * hi[i]):
                 continue
-            yield from extend(i, left - 1, factors + (types[i],),
-                              _mul_factor_rows(rows, b, a), sum_b + b, d,
+            longer = factors + (types[i],)
+            if target is None or left == 1:
+                tdm = t_deg_max
+                if tdm is None:
+                    tdm = min(sum_b + b + 4, S.T - sum_b - b - 2)
+                if _factor_clears(rows, b, a, tdm + 1):
+                    num = fit_numerator(S, longer, tdm)
+                    if num is not None:
+                        yield RatFun2(num, longer)
+            if left == 1 or sum_b + 2 * b > b_room:
+                continue
+            if prefixes is None:
+                product = _mul_factor_rows(rows, b, a)
+            elif (product := prefixes.get(longer)) is None:
+                product = prefixes[longer] = _mul_factor_rows(rows, b, a)
+            yield from extend(i, left - 1, longer, product, sum_b + b, d,
                               target)
 
-    rows = [list(c.coeffs) for c in S.coeffs]
-    hits = []
+    rows = [c.coeffs for c in S.coeffs]
+    if not first_only:
+        return sorted(extend(0, nu_max, (), rows, 0, 0, None),
+                      key=lambda R: _multiset_key(R.denom_factors))
     for nu in range(1, nu_max + 1):
-        if not first_only:
-            hits.extend(extend(0, nu, (), rows, 0, 0, None))
-            continue
         # within one total degree, depth-first order is canonical order
         for D in range(nu * min(degs), nu * max(degs) + 1):
             for hit in extend(0, nu, (), rows, 0, 0, D):
                 return [hit]
-    hits.sort(key=lambda R: _multiset_key(R.denom_factors))
-    return hits
+    return []

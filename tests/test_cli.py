@@ -203,6 +203,27 @@ class TestCommands:
         assert capsys.readouterr() == cold
         assert entry.read_text() == good
 
+    @pytest.mark.parametrize("factor", [[1, -1], [0, 1]],
+                             ids=["negative-q", "constant-in-t"])
+    def test_guess_entry_with_bad_factor_is_a_miss(self, factor, square_file,
+                                                   tmp_path, capsys):
+        # such a form would fail its expansion, or never have one
+        argv = ["guess", square_file, "--max-t", "6"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        cachedir = tmp_path / "cache"
+        argv += ["--cache", str(cachedir)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [entry] = cachedir.iterdir()
+        good = entry.read_text()
+        rec = json.loads(good)
+        rec["guess"]["den"][0] = factor
+        entry.write_text(json.dumps(rec))
+        assert main(argv) == 0
+        assert capsys.readouterr() == cold
+        assert entry.read_text() == good
+
     def test_guess_uses_cache(self, square_file, tmp_path, capsys,
                               monkeypatch):
         cachedir = str(tmp_path / "cache")

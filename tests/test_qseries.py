@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import segment
 from qehrhart.ehrhart import series_E, series_Ebar
+from qehrhart import qseries
 from qehrhart.qseries import (BivarPoly, InsufficientTruncationError, QPoly,
-                              RatFun2, TQSeries, denominator_search,
+                              RatFun2, TQSeries, _factor_clears,
+                              _mul_factor_rows, _trim, denominator_search,
                               fit_numerator)
 
 
@@ -71,6 +73,13 @@ class TestFit:
         with pytest.raises(InsufficientTruncationError):
             fit_numerator(geom_series(1, 4), [(1, 0), (1, 1)], 4)
 
+    @pytest.mark.parametrize("den", [[(Fraction(3, 2), 1)], [(1, -1)],
+                                     [(1, 0), (0, 2)]])
+    def test_bad_factor_refused(self, den):
+        # (3/2, 1) was truncated to (1, 1); (1, -1) reached the kernel
+        with pytest.raises(ValueError):
+            fit_numerator(geom_series(1, 10), den, 2)
+
 
 class TestSearch:
     def test_segment_v2(self):
@@ -100,6 +109,38 @@ class TestSearch:
         keys = [(R.nu, sum(a + b for (b, a) in R.denom_factors), R.denom_factors)
                 for R in hits]
         assert keys == sorted(keys)
+
+    def test_no_factors_no_hits(self):
+        S = geom_series(1, 10)
+        assert denominator_search(S, 2, 2, 0) == []
+        assert denominator_search(S, 2, 2, 0, first_only=True) == []
+
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_each_product_formed_once(self, unit_triangle, monkeypatch,
+                                      first_only):
+        # outside fit_numerator, no (rows, b, a) is multiplied twice, also
+        # across the walks of a first_only search
+        S = series_E(unit_triangle, 10)
+        seen, inside = [], []
+        mul, fit = qseries._mul_factor_rows, qseries.fit_numerator
+
+        def counting_mul(rows, b, a, divide=False):
+            if not inside:
+                seen.append((tuple(map(tuple, rows)), b, a, divide))
+            return mul(rows, b, a, divide)
+
+        def marked_fit(*args):
+            inside.append(1)
+            try:
+                return fit(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(qseries, "_mul_factor_rows", counting_mul)
+        monkeypatch.setattr(qseries, "fit_numerator", marked_fit)
+        hits = denominator_search(S, 2, 6, 4, first_only=first_only)
+        assert hits and seen
+        assert len(set(seen)) == len(seen)
 
 
 def reference_search(S, b_max, a_max, nu_max, t_deg_max=None,
@@ -136,7 +177,7 @@ def search_pairs(S, bounds, t_deg_max, first_only):
 @pytest.mark.parametrize("name,T,bounds", [
     ("unit_triangle", 10, (2, 4, 3)), ("unit_square", 10, (2, 4, 3)),
     ("case_triangle", 10, (2, 3, 3)), ("segment", 10, (2, 4, 3)),
-    ("reeve2", 6, (2, 3, 4))])
+    ("reeve2", 6, (2, 3, 4)), ("unit_triangle", 10, (2, 6, 4))])
 def test_search_matches_candidate_route(request, name, T, bounds, interior):
     P = segment(0, 2) if name == "segment" else request.getfixturevalue(name)
     S = (series_Ebar if interior else series_E)(P, T)
@@ -180,6 +221,20 @@ class TestExpand:
     def test_no_t_constant_factor(self):
         with pytest.raises(ValueError):
             RatFun2(BivarPoly({(0, 0): 1}), [(0, 1)])
+
+    @pytest.mark.parametrize("den", [[(Fraction(3, 2), 1)],
+                                     [(1, Fraction(1, 2))], [(1, -1)],
+                                     [(2, 0), (-1, 0)]])
+    def test_bad_factor_refused(self, den):
+        # refused, not truncated ((3/2, 1) to (1, 1)), nor left to fail in
+        # the expansion ((1, -1) raised IndexError there)
+        with pytest.raises(ValueError):
+            RatFun2(BivarPoly({(0, 0): 1}), den)
+
+    def test_integral_exponents_become_ints(self):
+        R = RatFun2(BivarPoly({(0, 0): 1}), [(Fraction(2, 1), True), (1, 0)])
+        assert R.denom_factors == ((1, 0), (2, 1))
+        assert all(type(e) is int for f in R.denom_factors for e in f)
 
     def test_laurent_numerator_refused(self):
         # t^-1 once landed on t^T, and q^-1 vanished
@@ -235,6 +290,24 @@ def test_search_matches_candidate_route_random(num_terms, den, scale,
     bounds = (2, 3, 3)
     assert search_pairs(S, bounds, t_deg_max, first_only) == \
         reference_search(S, *bounds, t_deg_max, first_only)
+
+
+entry = st.one_of(st.integers(-2, 2),
+                  st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+
+
+@given(st.lists(st.lists(entry, max_size=4), max_size=6),
+       st.integers(0, 4), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 8), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_factor_clears_is_product_test(head, tail, b, a, start, divided):
+    # a head of rows then ``tail`` empty ones, optionally divided by the
+    # factor, so that the product vanishes beyond the head as often as not
+    rows = [_trim(list(row)) for row in head] + [[] for _ in range(tail)]
+    if divided:
+        rows = _mul_factor_rows(rows, b, a, divide=True)
+    assert _factor_clears(rows, b, a, start) == \
+        (not any(_mul_factor_rows(rows, b, a)[start:]))
 
 
 # -- the series-by-factor kernel against the loops it replaced ----------------
