@@ -6,6 +6,8 @@ parametrization of the affine lattice: enumeration runs in hull coordinates
 and maps back, so simplices sitting inside hyperplanes work like
 full-dimensional ones.  It walks fibre by fibre between integer bounds from
 projected facets, so its cost follows the points, not the bounding box.
+A linear form over the points is histogrammed run by run along the last
+coordinate (``linear_counts``), so counts by weight build no point.
 """
 
 from __future__ import annotations
@@ -298,20 +300,21 @@ class LatticePolytope:
                            [f for f in split if f[1] > 0]))
         return levels
 
-    def _hull_points(self, m, strict):
-        """Hull coordinates of the integer points of mP (of its relative
-        interior if ``strict``), in lexicographic order, fibre by fibre.
+    def _fibres(self, m, strict):
+        """The integer points of mP (of its relative interior if ``strict``)
+        in hull coordinates, as last-coordinate runs (prefix, lo, hi): the
+        points prefix + (z,) for lo <= z <= hi.  Runs come in lexicographic
+        order and none is empty; P has dim >= 1.
 
         A prefix of a point of mP (of its interior) lies in m times P's
         projection (its interior), so coordinate k runs between the ceiling
         and floor bounds that the projection's facets set on the prefix;
         strictly, n . u < m off is n . u <= m off - 1.  A facet with k-th
         entry 0 is a facet of the projection one level up, so it is already
-        met.  The cost follows the integer prefixes, not the bounding box."""
+        met.  The cost follows the integer prefixes, not the bounding box,
+        and the last coordinate is never walked point by point."""
         d = self.dim
-        if d == 0:
-            return [()]
-        levels, pts, cut = self._levels, [], int(strict)
+        levels, runs, cut = self._levels, [], int(strict)
 
         def walk(prefix, k):
             lower, upper = levels[k]
@@ -321,12 +324,51 @@ class LatticePolytope:
             lo = max(-(room(n, off) // -c) for n, c, off in lower)
             hi = min(room(n, off) // c for n, c, off in upper)
             if k == d - 1:
-                pts.extend(prefix + (z,) for z in range(lo, hi + 1))
+                if lo <= hi:
+                    runs.append((prefix, lo, hi))
             else:
                 for z in range(lo, hi + 1):
                     walk(prefix + (z,), k + 1)
         walk((), 0)
-        return pts
+        return runs
+
+    def _hull_points(self, m, strict):
+        """Hull coordinates of the integer points of mP (of its relative
+        interior if ``strict``), in lexicographic order: the runs of
+        ``_fibres`` expanded point by point."""
+        if not self.dim:
+            return [()]
+        return [prefix + (z,) for prefix, lo, hi in self._fibres(m, strict)
+                for z in range(lo, hi + 1)]
+
+    def linear_counts(self, m, strict, lin, c0):
+        """Histogram of the values lin . u + c0 over the hull points u of mP
+        (of its relative interior if ``strict``), as (counts, points):
+        counts[v] points take the value v, and points is the total length of
+        the fibres.  Counted run by run, so no point is built; a negative
+        value raises ValueError."""
+        if m < 0:
+            raise ValueError("dilation factor must be nonnegative")
+        if self.dim:
+            runs, head, last = self._fibres(m, strict), lin[:-1], lin[-1]
+        else:   # the one point (), as a run with a zero last entry
+            runs, head, last = [((), 0, 0)], (), 0
+        counts, points = [], 0
+        for prefix, lo, hi in runs:
+            s = c0 + sum(a * b for a, b in zip(head, prefix))
+            first, final = s + last * lo, s + last * hi
+            if min(first, final) < 0:
+                raise ValueError("negative value of the linear form")
+            top = max(first, final)
+            if top >= len(counts):
+                counts.extend([0] * (top + 1 - len(counts)))
+            if last:
+                for v in range(first, final + last, last):
+                    counts[v] += 1
+            else:
+                counts[s] += hi - lo + 1
+            points += hi - lo + 1
+        return counts, points
 
     def _enumerate(self, m, strict):
         pts = self._hull_points(m, strict)

@@ -1,6 +1,7 @@
 import pytest
 
 from qehrhart import LatticePolytope
+from qehrhart.corpora import CORPORA
 
 
 @pytest.fixture
@@ -31,3 +32,15 @@ def reeve2():
 
 def segment(a, v):
     return LatticePolytope([(a,), (a + v,)])
+
+
+def distinct_corpus_polytopes():
+    """Every corpus polytope, once per vertex set (first corpus wins)."""
+    seen, out = set(), []
+    for corpus in CORPORA.values():
+        for row in corpus:
+            P = row.polytope()
+            if frozenset(P.vertices) not in seen:
+                seen.add(frozenset(P.vertices))
+                out.append(P)
+    return out

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from qehrhart import (LatticePolytope, QPoly, check_dilation, check_join,
-                      check_product, classical_check, guess, iq, iq_interior,
-                      reciprocity_check, series_E, series_Ebar,
+from qehrhart import (LatticePolytope, PointLocus, QPoly, check_dilation,
+                      check_join, check_product, classical_check, guess, iq,
+                      iq_interior, reciprocity_check, series_E, series_Ebar,
                       simplex_numerators, weight_series_W, weight_series_Wbar)
 from qehrhart import ehrhart
 from qehrhart.corpora import CORPORA
@@ -13,7 +13,7 @@ from qehrhart.ehrhart import (NotASimplexError, clear_memo, memo_stats,
 from qehrhart.harmonics import hilbert_qpoly
 from qehrhart.linalg import Mat, solve
 from qehrhart.qseries import BivarPoly, RatFun2, TQSeries
-from conftest import segment
+from conftest import distinct_corpus_polytopes, segment
 
 
 def hull_locus(P, m, interior=False):
@@ -88,17 +88,6 @@ class TestIq:
             assert iq_interior(unit_square, m) == eliminated(unit_square, m, True)
 
 
-def distinct_corpus_polytopes():
-    seen, out = set(), []
-    for rows in CORPORA.values():
-        for row in rows:
-            P = row.polytope()
-            if frozenset(P.vertices) not in seen:
-                seen.add(frozenset(P.vertices))
-                out.append(P)
-    return out
-
-
 def det(A):
     if len(A) == 1:
         return A[0][0]
@@ -169,6 +158,41 @@ class TestRoutes:
         for m in range(1, 5):
             assert iq(simplex, m) == eliminated(simplex, m)
             assert iq_interior(simplex, m) == eliminated(simplex, m, True)
+
+
+class TestFastPath:
+    """Weight and corner counts come from fibre histograms, not point sets."""
+
+    def test_weight_and_corner_routes_build_no_points(self, unit_square,
+                                                      monkeypatch):
+        image = unit_square.affine_image([[2, 1], [1, 1]], [3, -1])
+        assert unit_square.is_antiblocking()
+        assert not image.is_antiblocking() and image.corner_map() is not None
+        cases = [(P, m, interior) for P in (unit_square, image)
+                 for m in range(1, 5) for interior in (False, True)]
+        want = [eliminated(*case) for case in cases]
+
+        def refuse(self, *args):
+            raise AssertionError("a point locus was built")
+        monkeypatch.setattr(PointLocus, "__init__", refuse)
+        clear_memo()
+        assert [(iq_interior if interior else iq)(P, m)
+                for P, m, interior in cases] == want
+
+    def test_elimination_enumerates(self, case_triangle, monkeypatch):
+        # the benchmark's dilates workload pins both enumeration layers
+        assert case_triangle.dim == case_triangle.ambient_dim
+        assert case_triangle.corner_map() is None
+        calls = []
+        for name in ("lattice_points", "interior_lattice_points"):
+            def spy(self, m, enum=getattr(LatticePolytope, name), name=name):
+                calls.append((name, m))
+                return enum(self, m)
+            monkeypatch.setattr(LatticePolytope, name, spy)
+        clear_memo()
+        iq(case_triangle, 2)
+        iq_interior(case_triangle, 3)
+        assert calls == [("lattice_points", 2), ("interior_lattice_points", 3)]
 
 
 class TestMemo:

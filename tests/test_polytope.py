@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product as iproduct
@@ -10,7 +11,7 @@ from qehrhart import LatticePolytope, PointLocus, minkowski_sum
 from qehrhart.corpora import CORPORA
 from qehrhart.polytope import _adjugate, _int_det
 from qehrhart.posets import all_posets, chain_polytope, order_polytope
-from conftest import segment
+from conftest import distinct_corpus_polytopes, segment
 
 
 class TestFacets:
@@ -428,6 +429,56 @@ class TestFibreEnumeration:
         rng = random.Random(31)
         for _ in range(60):
             self.assert_same(LatticePolytope(axis_box(rng)), range(4))
+
+
+def ref_linear_counts(pts, lin, c0):
+    """Histogram of lin . u + c0 by a Counter over explicit points."""
+    hist = Counter(sum(a * b for a, b in zip(lin, u)) + c0 for u in pts)
+    return [hist[v] for v in range(max(hist, default=-1) + 1)], len(pts)
+
+
+class TestLinearCounts:
+    """The run-by-run histogram equals a Counter over ``_hull_points``."""
+
+    def assert_same(self, P, rng):
+        for m in range(6):
+            for strict in (False, True):
+                pts = P._hull_points(m, strict)
+                for last in (0, 1, -1, 2, -3):
+                    lin = [rng.randint(-2, 2) for _ in range(P.dim - 1)]
+                    lin = lin + [last] if P.dim else []
+                    low = min((sum(a * b for a, b in zip(lin, u))
+                               for u in pts), default=0)
+                    c0 = rng.randint(0, 2) - low
+                    assert (P.linear_counts(m, strict, lin, c0)
+                            == ref_linear_counts(pts, lin, c0)), (P, m, lin)
+                    if pts:
+                        with pytest.raises(ValueError):
+                            P.linear_counts(m, strict, lin, -low - 1)
+
+    def test_corpus(self):
+        rng = random.Random(41)
+        cases = distinct_corpus_polytopes()
+        assert {P.dim for P in cases} >= {0, 1, 2, 3, 4}
+        for P in cases:
+            self.assert_same(P, rng)
+
+    def test_unimodular_images(self):
+        rng = random.Random(43)
+        rows = distinct_corpus_polytopes()
+        for _ in range(60):
+            P = rng.choice(rows)
+            A = random_unimodular(rng, P.ambient_dim)
+            self.assert_same(P.affine_image(
+                A, [rng.randint(-3, 3) for _ in A]), rng)
+
+    def test_point_polytopes(self):
+        rng = random.Random(47)
+        for P in (LatticePolytope([()]), LatticePolytope([(2, 5)]),
+                  LatticePolytope([(-1, 0, 3)])):
+            assert P.dim == 0
+            self.assert_same(P, rng)
+            assert P.linear_counts(3, True, [], 2) == ([0, 0, 1], 1)
 
 
 class TestIntegerGeometry:
