@@ -8,9 +8,8 @@ from .posets import Poset, chain_polytope, order_polytope, stanley_transfer
 from .qseries import (BivarPoly, QPoly, RatFun2, TQSeries,
                       denominator_search, fit_numerator)
 from .harmonics import (GBasis, HarmonicBasis, MultiPoly, apolarity_pair,
-                        buchberger, buchberger_moeller, closure_check,
-                        gr_component, gr_ideal, harmonic_basis,
-                        product_gens_oracle)
+                        buchberger_moeller, closure_check, gr_component,
+                        gr_ideal, harmonic_basis)
 from .ehrhart import (check_dilation, check_join, check_product,
                       classical_check, guess, iq, iq_interior,
                       reciprocity_check, series_E, series_Ebar,

@@ -8,11 +8,12 @@ the dilate's lattice points, which an invertible affine lattice map leaves
 unchanged.  Counting works in hull coordinates and takes the first route
 that applies:
 
-- linear form: a down-closed polytope in the nonnegative orthant (weight)
-  counts q to the coordinate sum of each point, and a polytope with a
-  corner map (``LatticePolytope.corner_map``), a unimodular image of a
-  down-closed one, counts the weights of the mapped points (corner).  Both
-  weights are a linear form lin . u + c0 of the hull coordinates u, which
+- linear form (corner): a polytope with a corner map
+  (``LatticePolytope.corner_map``), a unimodular image of a down-closed
+  one, counts q to the coordinate sum of each mapped point.  Every
+  down-closed polytope of dimension >= 1 has one (vertex 0 with the unit
+  edges qualifies), so this is also its route.  The weight is a linear
+  form lin . u + c0 of the hull coordinates u, which
   ``LatticePolytope.linear_counts`` histograms fibre by fibre without
   building a point; the relative interior's count is divided by q^dim;
 - memo: a locus counted before, up to translation, is not counted again;
@@ -83,11 +84,9 @@ def _coordinate_sum(P, m):
 
 def _weight_form(P, m):
     """(lin, c0) whose value at each hull point of mP is its weight on the
-    weight or the corner route, or None when neither applies.  On the corner
-    route the weight is the coordinate sum of Binv (u - m v): lin holds the
-    column sums of Binv, and c0 = -m lin . v."""
-    if P.is_antiblocking():
-        return _coordinate_sum(P, m)
+    corner route, or None when P has no corner map.  The weight is the
+    coordinate sum of Binv (u - m v): lin holds the column sums of Binv,
+    and c0 = -m lin . v."""
     corner = P.corner_map()
     if corner is None:
         return None
@@ -118,8 +117,6 @@ def _fresh_count(P, m, interior):
         n = len(pts)
         if not pts:
             out = QPoly.zero()
-        elif P.dim == 0:
-            out = QPoly.one()
         else:
             lkey = _locus_key(pts)
             _locus_stats["hits" if lkey in _memo else "misses"] += 1

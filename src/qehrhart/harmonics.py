@@ -7,8 +7,7 @@ its argument ``p`` is 0 for Q, or a prime for F_p.
 Gröbner bases of vanishing ideals come from incremental echelon reduction
 of evaluation rows, monomials taken in graded lex order until the standard
 monomials span all point evaluations; each monomial's row is its Newton
-monomial over nodes taken from the points (``_run_bm``).  A classical
-S-polynomial algorithm is a small-instance cross-check.  Products of dual
+monomial over nodes taken from the points (``_run_bm``).  Products of dual
 spaces are spanned by ``span_products``, and a dual space tests membership
 in itself (``HarmonicBasis.contains``).
 """
@@ -20,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
 from math import factorial
 
 from .linalg import Echelon, Mat, nullspace, rref
@@ -30,10 +28,6 @@ from .qseries import QPoly, _exact
 
 class InconsistencyError(RuntimeError):
     """An internal invariant failed; signals an implementation bug."""
-
-
-class TooLargeError(ValueError):
-    """Instance exceeds the supported brute-force bounds."""
 
 
 # -- monomials ------------------------------------------------------------
@@ -101,12 +95,6 @@ class MultiPoly:
                     self.terms[tuple(m)] = c
 
     @staticmethod
-    def variable(n, i):
-        e = [0] * n
-        e[i] = 1
-        return MultiPoly(n, {tuple(e): 1})
-
-    @staticmethod
     def constant(n, c):
         return MultiPoly(n, {(0,) * n: c})
 
@@ -118,10 +106,6 @@ class MultiPoly:
 
     def leading_monomial(self):
         return max(self.terms, key=grlex_key) if self.terms else None
-
-    def leading_coeff(self):
-        lm = self.leading_monomial()
-        return self.terms[lm] if lm is not None else 0
 
     def top_component(self):
         """Highest-degree homogeneous part."""
@@ -162,16 +146,6 @@ class MultiPoly:
         return MultiPoly(self.n, out)
 
     __rmul__ = __mul__
-
-    def mul_term(self, mono, coeff):
-        return MultiPoly(self.n, {mono_mul(m, mono): c * coeff
-                                  for m, c in self.terms.items()})
-
-    def monic(self):
-        lc = self.leading_coeff()
-        if lc in (0, 1):
-            return self
-        return self * (Fraction(1) / lc)
 
     def evaluate(self, point):
         total = 0
@@ -586,82 +560,3 @@ def closure_check(Z, Zp):
     dims = {d: len(kept) for d, (_, kept) in span.items()}
     proper = any(dims.get(d, 0) < len(bs) for d, bs in enumerate(V12.by_degree))
     return witness is None, proper, witness
-
-
-# -- independent generating-set route --------------------------------------
-
-def product_gens_oracle(Z):
-    """Elementary generators of the vanishing ideal: for every assignment of
-    a coordinate to each point, the product of the matching linear forms.
-    """
-    points = list(Z)
-    n = len(points[0])
-    if len(points) > 6 or n > 3:
-        raise TooLargeError("supported only for small instances")
-    gens = []
-    seen = set()
-    for choice in iproduct(range(n), repeat=len(points)):
-        f = MultiPoly.constant(n, 1)
-        for z, i in zip(points, choice):
-            f = f * (MultiPoly.variable(n, i) - MultiPoly.constant(n, z[i]))
-        key = tuple(sorted(f.terms.items()))
-        if key not in seen:
-            seen.add(key)
-            gens.append(f)
-    return gens
-
-
-def _normal_form(f: MultiPoly, gens):
-    """Remainder of f modulo the generator list (top-reduction repeatedly)."""
-    rem = MultiPoly(f.n)
-    work = f
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
-        for g in gens:
-            glm = g.leading_monomial()
-            if mono_divides(glm, lm):
-                q = tuple(a - b for a, b in zip(lm, glm))
-                work = work - g.mul_term(q, Fraction(lc) / g.terms[glm])
-                break
-        else:
-            t = MultiPoly(f.n, {lm: lc})
-            rem = rem + t
-            work = work - t
-    return rem
-
-
-def buchberger(gens):
-    """Classical S-polynomial completion; returns the reduced basis.
-
-    Exponential-time but independent of the evaluation-matrix route; meant
-    for cross-checking on small instances only.
-    """
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop()
-        fi, fj = basis[i], basis[j]
-        mi, mj = fi.leading_monomial(), fj.leading_monomial()
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if all(a + b == c for a, b, c in zip(mi, mj, lcm)):
-            continue  # coprime leading terms
-        s = (fi.mul_term(tuple(a - b for a, b in zip(lcm, mi)), 1)
-             - fj.mul_term(tuple(a - b for a, b in zip(lcm, mj)), 1))
-        r = _normal_form(s, basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            k = len(basis) - 1
-            pairs.extend((k, t) for t in range(k))
-    # inter-reduce to the unique reduced basis
-    reduced = []
-    lts = [g.leading_monomial() for g in basis]
-    for i, g in enumerate(basis):
-        if any(j != i and mono_divides(lts[j], lts[i]) for j in range(len(basis))):
-            continue
-        others = [h for j, h in enumerate(basis) if j != i]
-        tail = g - MultiPoly(g.n, {lts[i]: 1})  # entries are monic
-        reduced.append(MultiPoly(g.n, {lts[i]: 1})
-                       + _normal_form(tail, others))
-    reduced.sort(key=lambda g: grlex_key(g.leading_monomial()))
-    return reduced

@@ -15,8 +15,10 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .linalg import Echelon, Mat, solve
+from .qseries import _integer
 
 
 class PointLocus:
@@ -26,7 +28,8 @@ class PointLocus:
 
     def __init__(self, ambient_dim, points):
         self.ambient_dim = ambient_dim
-        pts = sorted({tuple(int(x) for x in p) for p in points})
+        pts = sorted({tuple(x if type(x) is int else _integer(x) for x in p)
+                      for p in points})
         for p in pts:
             if len(p) != ambient_dim:
                 raise ValueError("point of wrong dimension")
@@ -183,7 +186,8 @@ class LatticePolytope:
     """
 
     def __init__(self, vertices, name=None):
-        pts = [tuple(int(x) for x in v) for v in vertices]
+        pts = [tuple(x if type(x) is int else _integer(x) for x in v)
+               for v in vertices]
         if not pts:
             raise ValueError("a polytope needs at least one vertex")
         self.ambient_dim = len(pts[0])
@@ -209,23 +213,15 @@ class LatticePolytope:
         n = self.ambient_dim
         base = pts[0]
         diffs = [tuple(p[i] - base[i] for i in range(n)) for p in pts[1:]]
-        diffs = [d for d in diffs if any(d)]
-        if diffs:
-            constraints = _integer_kernel(diffs, n)  # normals of the affine hull
-        else:
-            constraints = [tuple(1 if j == i else 0 for j in range(n))
-                           for i in range(n)]
+        # normals of the affine hull (all of Z^n for a single point)
+        constraints = _integer_kernel([d for d in diffs if any(d)], n)
         self.hull_normals = constraints
         self.lattice_basis = _integer_kernel(constraints, n)
         self.dim = len(self.lattice_basis)
         # full-dimensional polytopes keep ambient coordinates (base at 0)
         self.base = (0,) * n if self.dim == n else base
         # rational solve matrix for hull coordinates: B^T u = z - base
-        if self.dim:
-            self._bt = Mat([[self.lattice_basis[k][i] for k in range(self.dim)]
-                            for i in range(n)])
-        else:
-            self._bt = None
+        self._bt = Mat([[b[i] for b in self.lattice_basis] for i in range(n)])
 
     def hull_coords(self, z, scale=1):
         """Integer coordinates u with z = scale*base + sum u_k b_k, or None."""
@@ -264,6 +260,8 @@ class LatticePolytope:
     def hull_coords_rational(self, z, scale=1):
         """Hull coordinates allowing rational values (affine hull membership)."""
         n = self.ambient_dim
+        if len(z) != n:
+            raise ValueError("point of wrong dimension")
         rhs = [z[i] - scale * self.base[i] for i in range(n)]
         for c in self.hull_normals:
             if sum(a * b for a, b in zip(c, rhs)) != 0:
@@ -276,8 +274,6 @@ class LatticePolytope:
         """Integer points of the dilate mP (m = 0 gives the origin)."""
         if m < 0:
             raise ValueError("dilation factor must be nonnegative")
-        if m == 0:
-            return PointLocus(self.ambient_dim, [(0,) * self.ambient_dim])
         return self._enumerate(m, strict=False)
 
     def interior_lattice_points(self, m: int) -> PointLocus:
@@ -312,24 +308,24 @@ class LatticePolytope:
         strictly, n . u < m off is n . u <= m off - 1.  A facet with k-th
         entry 0 is a facet of the projection one level up, so it is already
         met.  The cost follows the integer prefixes, not the bounding box,
-        and the last coordinate is never walked point by point."""
-        d = self.dim
-        levels, runs, cut = self._levels, [], int(strict)
+        and the last coordinate is never walked point by point.
 
-        def walk(prefix, k):
-            lower, upper = levels[k]
-
-            def room(n, off):
-                return m * off - cut - sum(a * b for a, b in zip(n, prefix))
-            lo = max(-(room(n, off) // -c) for n, c, off in lower)
-            hi = min(room(n, off) // c for n, c, off in upper)
-            if k == d - 1:
+        One flat loop over the levels: each level's runs, expanded point by
+        point in order, are the next level's prefixes, so every level's
+        prefixes come in lexicographic order."""
+        d, cut, prefixes = self.dim, int(strict), [()]
+        for k, (lower, upper) in enumerate(self._levels, 1):
+            lower = [(n, c, m * off - cut) for n, c, off in lower]
+            upper = [(n, c, m * off - cut) for n, c, off in upper]
+            runs = []
+            for p in prefixes:
+                lo = max(-((r - sum(map(mul, n, p))) // -c) for n, c, r in lower)
+                hi = min((r - sum(map(mul, n, p))) // c for n, c, r in upper)
                 if lo <= hi:
-                    runs.append((prefix, lo, hi))
-            else:
-                for z in range(lo, hi + 1):
-                    walk(prefix + (z,), k + 1)
-        walk((), 0)
+                    runs.append((p, lo, hi))
+            if k < d:
+                prefixes = [p + (z,) for p, lo, hi in runs
+                            for z in range(lo, hi + 1)]
         return runs
 
     def _hull_points(self, m, strict):

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -158,6 +159,65 @@ class TestRoutes:
         for m in range(1, 5):
             assert iq(simplex, m) == eliminated(simplex, m)
             assert iq_interior(simplex, m) == eliminated(simplex, m, True)
+
+
+def random_down_closure(rng, n):
+    """A seeded down-closed polytope in Z^n: the hull of a few points of the
+    box [0, 2]^k on k random axes (0 elsewhere), each with every subset of
+    its coordinates set to 0.  With k < n, or a 0 coordinate in every point,
+    it is lower-dimensional in a coordinate subspace."""
+    k = rng.randint(1, n)
+    axes = rng.sample(range(n), k)
+    gens = set()
+    for _ in range(rng.randint(1, 3 if k < 4 else 1)):
+        top = [rng.randint(0, 2) for _ in range(k)]
+        for keep in iproduct((0, 1), repeat=k):
+            z = [0] * n
+            for a, x, s in zip(axes, top, keep):
+                z[a] = x * s
+            gens.add(tuple(z))
+    return LatticePolytope(sorted(gens))
+
+
+class TestDownClosedTakeTheCornerRoute:
+    """The corner map is the one linear-form route: every down-closed
+    polytope of dimension >= 1 has one, and its count is the coordinate-sum
+    histogram of the points."""
+
+    def sources(self):
+        rng = random.Random(23)
+        out = [P for P in distinct_corpus_polytopes() if P.is_antiblocking()]
+        out += [random_down_closure(rng, n) for n in (1, 2, 3, 4)
+                for _ in range(20)]
+        return out
+
+    def test_every_down_closed_polytope_has_a_corner_map(self):
+        sources = self.sources()
+        assert all(P.is_antiblocking() for P in sources)
+        assert sum(0 < P.dim < P.ambient_dim for P in sources) >= 5
+        assert {P.ambient_dim for P in sources} >= {1, 2, 3, 4}
+        clear_memo()
+        for P in sources:
+            if P.dim == 0:
+                continue
+            assert P.corner_map() is not None, P.vertices
+            for m in range(1, 5):
+                assert iq(P, m) == ehrhart._weight_count(P, m, False), (
+                    P.vertices, m)
+                assert iq_interior(P, m) == ehrhart._weight_count(
+                    P, m, True).divide_by_q_power(P.dim), (P.vertices, m)
+        assert memo_stats()["misses"] == 0   # no count reached elimination
+
+    def test_origin_counts_one_by_elimination(self):
+        for n in (0, 1, 3):
+            origin = LatticePolytope([(0,) * n])
+            assert origin.dim == 0 and origin.is_antiblocking()
+            assert origin.corner_map() is None
+            clear_memo()
+            for m in range(1, 5):
+                assert iq(origin, m) == QPoly.one()
+                assert iq_interior(origin, m) == QPoly.one()
+            assert memo_stats()["misses"] >= 1
 
 
 class TestFastPath:

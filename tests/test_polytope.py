@@ -46,7 +46,8 @@ class TestEnumeration:
                              (2, 4), (3, 2), (3, 3), (4, 2))
 
     def test_m_zero(self, case_triangle, unit_square):
-        for P in (case_triangle, unit_square):
+        for P in (case_triangle, unit_square, LatticePolytope([(3, 1)]),
+                  LatticePolytope([(3, 1), (5, 2)])):
             assert P.lattice_points(0).points == ((0, 0),)
 
     def test_segment_interior(self):
@@ -208,6 +209,34 @@ class TestLocus:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             minkowski_sum(PointLocus(1, [(0,)]), PointLocus(2, [(0, 0)]))
+
+
+class TestExactCoordinates:
+    """Coordinates are read exactly: an integer value of any exact type is
+    kept, anything else is refused, and a point must have the ambient
+    dimension."""
+
+    def test_polytope_refuses_a_fractional_vertex(self):
+        with pytest.raises(ValueError):
+            LatticePolytope([(0.5, 0), (2, 0), (0, 2)])
+        with pytest.raises(ValueError):
+            LatticePolytope([(Fraction(1, 2), 0), (2, 0), (0, 2)])
+        P = LatticePolytope([(Fraction(4, 2), 0), (0, 0), (0, 2)])
+        assert P.vertices == ((2, 0), (0, 0), (0, 2))
+        assert all(type(x) is int for v in P.vertices for x in v)
+
+    def test_locus_refuses_a_fractional_point(self):
+        with pytest.raises(ValueError):
+            PointLocus(2, [(Fraction(3, 2), 1)])
+        Z = PointLocus(2, [(Fraction(6, 2), 1)])
+        assert Z.points == ((3, 1),) and type(Z.points[0][0]) is int
+
+    def test_membership_of_a_point_of_wrong_dimension(self, unit_triangle):
+        for z in ((0, 0, 7), (1,)):
+            with pytest.raises(ValueError, match="point of wrong dimension"):
+                unit_triangle.contains(z)
+            with pytest.raises(ValueError, match="point of wrong dimension"):
+                unit_triangle.hull_coords(z)
 
 
 # -- integer geometry against the Fraction routes it replaced ----------------
